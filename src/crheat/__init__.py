@@ -23,6 +23,7 @@ from .errors import (
     CrheatError,
     DivergentIntegral,
     FileFormatError,
+    NonFinite,
     NonHermitian,
     NonRigidTruncation,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "ManifoldDescriptor",
     "MorseReport",
     "MultiIndexBasis",
+    "NonFinite",
     "NonHermitian",
     "NonRigidTruncation",
     "ResidualReport",

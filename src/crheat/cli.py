@@ -59,13 +59,35 @@ def _emit_endo(endo, fmt, grid_rows, out):
             out.write(f"integrand,{_fmt(e)},,{_fmt(re)},{_fmt(im)}\n")
 
 
-def _parse_eta_grid(spec: str):
+def _number(text: str, what: str = "finite", ok=lambda v: True) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not (math.isfinite(v) and ok(v)):
+        raise argparse.ArgumentTypeError(f"expected a {what} number, got {text!r}")
+    return v
+
+
+def _time(text: str) -> float:
+    return _number(text, "finite positive", lambda v: v > 0)
+
+
+def _delta(text: str) -> float:
+    return _number(text, "finite nonnegative", lambda v: v >= 0)
+
+
+def _times(text: str) -> list:
+    return [_time(v) for v in text.split(",")]
+
+
+def _eta_grid(spec: str) -> list:
     parts = spec.split(":")
     if len(parts) != 3:
-        raise CrheatError("--eta-grid expects A:B:STEP")
-    a, b, step = (float(v) for v in parts)
+        raise argparse.ArgumentTypeError("expected A:B:STEP")
+    a, b, step = (_number(v) for v in parts)
     if step <= 0 or b < a:
-        raise CrheatError("--eta-grid needs STEP > 0 and B >= A")
+        raise argparse.ArgumentTypeError("needs STEP > 0 and B >= A")
     count = int(math.floor((b - a) / step + 1e-9)) + 1
     return [a + k * step for k in range(count)]
 
@@ -82,7 +104,7 @@ def cmd_density(args) -> int:
     grid_rows = None
     if args.eta_grid is not None:
         grid_rows = []
-        for eta in _parse_eta_grid(args.eta_grid):
+        for eta in args.eta_grid:
             tr = density_integrand(p, args.q, args.t, eta).trace
             grid_rows.append((eta, tr.real, tr.imag))
     _emit_endo(endo, args.format, grid_rows, sys.stdout)
@@ -97,6 +119,8 @@ def _parse_coords(text: str, n: int):
         vals = [float(v) for v in parts]
     except ValueError:
         raise CrheatError("coordinates must be real numbers") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise CrheatError("coordinates must be finite")
     z = tuple(complex(vals[2 * j], vals[2 * j + 1]) for j in range(n))
     return HeisenbergPoint(z, vals[2 * n])
 
@@ -199,9 +223,9 @@ def _build_parser():
     d = sub.add_parser("density", help="diagonal density endomorphism at one point")
     d.add_argument("--input", required=True, help="point file (JSON)")
     d.add_argument("--q", type=int, required=True, help="form degree")
-    d.add_argument("--t", type=float, required=True, help="time")
-    d.add_argument("--delta", type=float, default=None, help="truncate eta to [-delta, delta]")
-    d.add_argument("--eta-grid", default=None, metavar="A:B:STEP",
+    d.add_argument("--t", type=_time, required=True, help="time")
+    d.add_argument("--delta", type=_delta, default=None, help="truncate eta to [-delta, delta]")
+    d.add_argument("--eta-grid", type=_eta_grid, default=None, metavar="A:B:STEP",
                    help="also sample the integrand trace on this eta grid")
     d.add_argument("--format", choices=("csv", "json"), default="csv")
     d.set_defaults(fn=cmd_density)
@@ -209,19 +233,19 @@ def _build_parser():
     k = sub.add_parser("kernel", help="heat kernel between two group points")
     k.add_argument("--input", required=True, help="point file (JSON)")
     k.add_argument("--q", type=int, required=True)
-    k.add_argument("--t", type=float, required=True)
+    k.add_argument("--t", type=_time, required=True)
     k.add_argument("--x", required=True, metavar="Z,THETA",
                    help="2n+1 comma-separated reals")
     k.add_argument("--y", required=True, metavar="Z,THETA")
-    k.add_argument("--delta", type=float, default=None)
+    k.add_argument("--delta", type=_delta, default=None)
     k.add_argument("--format", choices=("csv", "json"), default="csv")
     k.set_defaults(fn=cmd_kernel)
 
     m = sub.add_parser("morse", help="weak and strong Morse bounds for a descriptor")
     m.add_argument("--input", required=True, help="descriptor file (JSON)")
     m.add_argument("--q", type=int, required=True)
-    m.add_argument("--delta", type=float, default=None)
-    m.add_argument("--heat-t", type=lambda s: [float(v) for v in s.split(",")],
+    m.add_argument("--delta", type=_delta, default=None)
+    m.add_argument("--heat-t", type=_times,
                    default=None, metavar="LIST",
                    help="comma-separated times for heat-trace rows")
     m.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -236,9 +260,29 @@ def _build_parser():
     return ap
 
 
+# Options whose value may start with '-'.  argparse reads such a token as an
+# option unless it is a plain negative number, so "--x -0.1,0,0" and
+# "--eta-grid -2:2:1" are joined into the "--opt=value" form first.
+_SIGNED_OPTIONS = ("--t", "--delta", "--eta-grid", "--x", "--y", "--heat-t")
+
+
+def _join_signed_values(argv):
+    out = []
+    k = 0
+    while k < len(argv):
+        tok = argv[k]
+        if tok in _SIGNED_OPTIONS and k + 1 < len(argv) and argv[k + 1].startswith("-"):
+            out.append(f"{tok}={argv[k + 1]}")
+            k += 2
+        else:
+            out.append(tok)
+            k += 1
+    return out
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except DivergentIntegral as e:

@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DegreeOutOfRange,
     DivergentIntegral,
+    NonFinite,
     NonRigidTruncation,
     OnSignatureBoundary,
     ZeroPolynomial,
@@ -47,6 +47,8 @@ class CurvaturePoint:
             raise DegreeOutOfRange(
                 f"forms of dimension {self.levi.n}/{self.curvature.n} at a point with n={self.n}"
             )
+        if not (math.isfinite(self.weight) and math.isfinite(self.beta)):
+            raise NonFinite("weight and beta must be finite")
         if not self.weight > 0:
             raise ValueError("quadrature weight must be positive")
 
@@ -136,14 +138,8 @@ def component_scalars(mu: np.ndarray, t: float, indices) -> np.ndarray:
     """
     bp = np.atleast_1d(bose_ratio(mu, t))
     bm = np.atleast_1d(bose_ratio(-mu, t))
-    out = np.empty(len(indices))
-    for r, J in enumerate(indices):
-        v = 1.0
-        inside = set(J)
-        for j in range(1, len(mu) + 1):
-            v *= bm[j - 1] if j in inside else bp[j - 1]
-        out[r] = v
-    return out
+    inside = np.array([[j in J for j in range(1, len(bp) + 1)] for J in indices], dtype=bool)
+    return np.where(inside, bm, bp).prod(axis=1)
 
 
 def _integrand_matrix(p: CurvaturePoint, q: int, t: float, eta: float, indices):
@@ -220,12 +216,9 @@ def tail_certificate(
                 + i * log_H
                 - (k - i + 1) * log_k
             )
-    log_cert = (
-        math.log(_DECAY_FACTOR_CONST)
-        + t * curvature_norm
-        - kappa * H
-        + float(logsumexp(np.array(log_terms)))
-    )
+    top = max(log_terms)
+    log_sum = top + math.log(math.fsum(math.exp(v - top) for v in log_terms))
+    log_cert = math.log(_DECAY_FACTOR_CONST) + t * curvature_norm - kappa * H + log_sum
     if log_cert > 700.0:
         return math.inf
     return math.exp(log_cert)

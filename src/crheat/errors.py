@@ -14,7 +14,11 @@ class NonHermitian(CrheatError):
 
 
 class NoConvergence(CrheatError):
-    """Jacobi eigensolver exceeded its sweep budget."""
+    """The LAPACK Hermitian eigensolver (eigh) reported a convergence failure."""
+
+
+class NonFinite(CrheatError):
+    """An input entry or an integrand value is NaN or infinite."""
 
 
 class DimensionMismatch(CrheatError):

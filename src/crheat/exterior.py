@@ -84,18 +84,19 @@ def omega_endomorphism(M, q: int) -> FormEndomorphism:
 
 
 def exterior_power_matrix(U: np.ndarray, q: int) -> np.ndarray:
-    """q-fold exterior power of U on the lexicographic basis (q x q minors)."""
+    """q-fold exterior power of U on the lexicographic basis (q x q minors).
+
+    Entry (r, c) is det U[J_r, J_c].  All C(n,q)^2 minors are gathered
+    into one (dim, dim, q, q) stack and taken with a single determinant
+    call.
+    """
     n = U.shape[0]
     b = basis(n, q)
     if q == 0:
         return np.ones((1, 1), dtype=complex)
-    dim = len(b.indices)
-    rows = [np.array(J) - 1 for J in b.indices]
-    E = np.empty((dim, dim), dtype=complex)
-    for r, Jr in enumerate(rows):
-        for c, Jc in enumerate(rows):
-            E[r, c] = np.linalg.det(U[np.ix_(Jr, Jc)])
-    return E
+    idx = np.array(b.indices) - 1
+    minors = U[idx[:, None, :, None], idx[None, :, None, :]]
+    return np.linalg.det(minors.astype(complex, copy=False))
 
 
 def exp_endo(M, q: int, t: float) -> FormEndomorphism:

@@ -93,7 +93,7 @@ def mehler_kernel(A, t: float, x, y) -> complex:
     f = tanh_ratio(mu, 2.0 * t)
     gp = bose_ratio(mu, 2.0 * t)
     gm = bose_ratio(-mu, 2.0 * t)
-    pref = float(np.prod(bose_ratio(mu, 2.0 * t)))
+    pref = float(np.prod(gp))
     cross = np.sum(we.conj() * gp * ze) + np.conj(np.sum(we.conj() * gm * ze))
     expo = -np.sum(f * (np.abs(ze) ** 2 + np.abs(we) ** 2)) + cross
     return (2.0 * math.pi) ** (-n) * pref * complex(np.exp(expo))

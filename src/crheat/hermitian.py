@@ -1,14 +1,14 @@
 """Dense complex Hermitian linear algebra for small matrices (n <= 16).
 
-Provides the eigensolver (cyclic complex Jacobi), spectrally defined matrix
-functions with removable-singularity guards, determinant polynomials of the
-pencil R - 2*eta*L, and their real roots.  Everything here is pure and safe
-to call concurrently.
+Provides the validated Hermitian form, the eigensolver (LAPACK through
+numpy.linalg.eigh), spectrally defined matrix functions with
+removable-singularity guards, determinant polynomials of the pencil
+R - 2*eta*L, and their real roots.  Everything here is pure and safe to
+call concurrently.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,22 +16,23 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NoConvergence,
+    NonFinite,
     NonHermitian,
     UnknownFunction,
     ZeroPolynomial,
 )
 
 HERMITIAN_ATOL = 1e-10
-_JACOBI_MAX_SWEEPS = 100
 _SERIES_CUTOFF = 1e-4
 
 
 class HermitianForm:
     """An n x n complex Hermitian matrix.
 
-    Entries are checked against the conjugate-transpose to absolute
-    tolerance 1e-10 and then symmetrized, so downstream code always sees
-    an exactly Hermitian array.  The stored matrix is read-only.
+    Entries must be finite (NonFinite otherwise).  They are checked
+    against the conjugate-transpose to absolute tolerance 1e-10 and then
+    symmetrized, so downstream code always sees an exactly Hermitian
+    array.  The stored matrix is read-only.
     """
 
     __slots__ = ("n", "mat")
@@ -40,6 +41,8 @@ class HermitianForm:
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise NonFinite("matrix has a NaN or infinite entry")
         if np.max(np.abs(a - a.conj().T)) > HERMITIAN_ATOL:
             raise NonHermitian(
                 "matrix deviates from Hermitian symmetry by more than 1e-10"
@@ -68,104 +71,44 @@ class EigenSystem:
     unitary: np.ndarray
 
 
-def _jacobi(A: np.ndarray):
-    """Cyclic complex Jacobi sweep; A must be exactly Hermitian."""
-    n = A.shape[0]
-    A = A.astype(complex).copy()
-    V = np.eye(n, dtype=complex)
-    fro = np.linalg.norm(A)
-    if fro == 0.0 or n == 1:
-        return np.real(np.diagonal(A)).copy(), V
-    thresh = 1e-13 * fro
-    # Rotations smaller than this cannot push the off-diagonal norm above
-    # thresh even if every entry sits at the cutoff.
-    skip = thresh / (2.0 * n)
-    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
-        off = np.linalg.norm(A - np.diag(np.diagonal(A)))
-        if off <= thresh:
-            break
-        if sweep == _JACOBI_MAX_SWEEPS:
-            raise NoConvergence(
-                f"Jacobi did not reach threshold after {_JACOBI_MAX_SWEEPS} sweeps"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                phase = apq / r
-                tau = (aqq - app) / (2.0 * r)
-                tt = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + tt * tt)
-                sp = (tt * c) * phase
-                spc = sp.conjugate()
-                # A <- J^H A J with J[p,p]=J[q,q]=c, J[p,q]=sp, J[q,p]=-spc
-                colp = A[:, p] * c - A[:, q] * spc
-                colq = A[:, p] * sp + A[:, q] * c
-                A[:, p] = colp
-                A[:, q] = colq
-                rowp = c * A[p, :] - sp * A[q, :]
-                rowq = spc * A[p, :] + c * A[q, :]
-                A[p, :] = rowp
-                A[q, :] = rowq
-                vp = V[:, p] * c - V[:, q] * spc
-                vq = V[:, p] * sp + V[:, q] * c
-                V[:, p] = vp
-                V[:, q] = vq
-    return np.real(np.diagonal(A)).copy(), V
-
-
-_eig_cache: dict[bytes, EigenSystem] = {}
-_EIG_CACHE_MAX = 256
-
-
 def eig_hermitian(H) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a validated Hermitian matrix by LAPACK (eigh).
 
-    Returns ascending eigenvalues and orthonormal column eigenvectors.
-    Results are cached on the matrix bytes; kernel evaluations hit the
-    same matrix many times in a row.
+    Returns ascending eigenvalues and orthonormal column eigenvectors as
+    read-only arrays.  A LAPACK convergence failure raises NoConvergence.
     """
     A = as_hermitian(H)
-    key = A.tobytes()
-    hit = _eig_cache.get(key)
-    if hit is not None:
-        return hit
-    vals, vecs = _jacobi(A)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
+    if A.shape[0] == 1:
+        # The pair LAPACK returns, without the cost of eigh's Python wrapper;
+        # the n = 1 kernels evaluate it tens of thousands of times.
+        vals, vecs = A.real.diagonal().copy(), np.ones((1, 1), dtype=complex)
+    else:
+        try:
+            vals, vecs = np.linalg.eigh(A)
+        except np.linalg.LinAlgError as e:
+            raise NoConvergence(f"LAPACK eigh failed: {e}") from None
     vals.flags.writeable = False
     vecs.flags.writeable = False
-    out = EigenSystem(vals, vecs)
-    if len(_eig_cache) >= _EIG_CACHE_MAX:
-        _eig_cache.clear()
-    _eig_cache[key] = out
-    return out
+    return EigenSystem(vals, vecs)
 
 
 # ---------------------------------------------------------------------------
 # Guarded scalar functions.  All are evaluated at x = t*mu and carry a
 # removable singularity at x = 0; below |x| = 1e-4 they switch to series
-# through order 6 to avoid cancellation.
+# through order 6 to avoid cancellation.  Every branch is computed on the
+# whole array with floating-point warnings silenced, then np.where picks
+# the branch each element needs; the branches not picked may overflow or
+# divide by zero without effect.
 
 
 def _bose_of_x(x: np.ndarray) -> np.ndarray:
     """x / (1 - exp(-x)), stable on the whole real line."""
-    out = np.empty_like(x)
-    small = np.abs(x) < _SERIES_CUTOFF
-    xs = x[small]
-    # Bernoulli series: 1 + x/2 + x^2/12 - x^4/720 + x^6/30240
-    out[small] = 1.0 + xs / 2.0 + xs**2 / 12.0 - xs**4 / 720.0 + xs**6 / 30240.0
-    pos = (~small) & (x > 0)
-    out[pos] = x[pos] / (-np.expm1(-x[pos]))
-    neg = (~small) & (x < 0)
-    xn = x[neg]
-    out[neg] = xn * np.exp(xn) / np.expm1(xn)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Bernoulli series: 1 + x/2 + x^2/12 - x^4/720 + x^6/30240
+        series = 1.0 + x / 2.0 + x**2 / 12.0 - x**4 / 720.0 + x**6 / 30240.0
+        pos = x / (-np.expm1(-x))
+        neg = x * np.exp(x) / np.expm1(x)
+    return np.where(np.abs(x) < _SERIES_CUTOFF, series, np.where(x > 0, pos, neg))
 
 
 def _as_float_array(mu):
@@ -176,22 +119,19 @@ def _as_float_array(mu):
 def bose_ratio(mu, t: float):
     """mu / (1 - exp(-t*mu)) with the mu = 0 limit 1/t."""
     x, scalar = _as_float_array(mu)
-    val = _bose_of_x(np.atleast_1d(t * x)) / t
-    return float(val[0]) if scalar else val.reshape(x.shape)
+    val = _bose_of_x(t * x) / t
+    return float(val) if scalar else val
 
 
 def tanh_ratio(mu, t: float):
     """(mu/2) / tanh(t*mu/2) with the mu = 0 limit 1/t.  Even in mu."""
     x, scalar = _as_float_array(mu)
-    u = np.atleast_1d(t * x / 2.0)
-    out = np.empty_like(u)
-    small = np.abs(u) < _SERIES_CUTOFF / 2.0
-    us = u[small]
-    out[small] = 1.0 + us**2 / 3.0 - us**4 / 45.0 + 2.0 * us**6 / 945.0
-    big = ~small
-    out[big] = u[big] / np.tanh(u[big])
-    val = out / t
-    return float(val[0]) if scalar else val.reshape(x.shape)
+    u = t * x / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = 1.0 + u**2 / 3.0 - u**4 / 45.0 + 2.0 * u**6 / 945.0
+        big = u / np.tanh(u)
+    val = np.where(np.abs(u) < _SERIES_CUTOFF / 2.0, series, big) / t
+    return float(val) if scalar else val
 
 
 def sinh_ratio(mu, t: float):
@@ -208,8 +148,8 @@ def exp_neg(mu, t: float):
     """exp(-t*mu)."""
     x, scalar = _as_float_array(mu)
     with np.errstate(over="ignore"):
-        val = np.exp(np.atleast_1d(-t * x))
-    return float(val[0]) if scalar else val.reshape(x.shape)
+        val = np.exp(-t * x)
+    return float(val) if scalar else val
 
 
 GUARDED_FUNCTIONS = {

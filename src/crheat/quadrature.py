@@ -1,17 +1,16 @@
 """Adaptive panel quadrature: 15-point Kronrod rule with embedded 7-point Gauss.
 
 Panels are refined in deterministic rounds (every failing panel splits at its
-midpoint) so results do not depend on scheduling.  Node evaluations are
-batched into a single vectorized call per round and may be chunked across a
-thread pool capped by the CRHEAT_THREADS environment variable.
+midpoint).  All nodes of a round go to the integrand in one vectorized call
+on the calling thread; a NaN or infinite node value raises NonFinite rather
+than being refined forever.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
+
+from .errors import NonFinite
 
 # Kronrod 15-point nodes on [-1,1] with Kronrod weights and the embedded
 # Gauss-7 weights (zero at Kronrod-only nodes), in ascending node order.
@@ -35,27 +34,6 @@ _GK = (
 GK_NODES = np.array([row[0] for row in _GK])
 GK_WEIGHTS = np.array([row[1] for row in _GK])
 G7_WEIGHTS = np.array([row[2] for row in _GK])
-
-
-def worker_count() -> int:
-    """Thread cap: CRHEAT_THREADS if set, else available parallelism."""
-    env = os.environ.get("CRHEAT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _eval_batched(f, points: np.ndarray, workers: int) -> np.ndarray:
-    if workers <= 1 or points.size < 64:
-        return np.asarray(f(points))
-    chunks = np.array_split(points, workers)
-    chunks = [c for c in chunks if c.size]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: np.asarray(f(c)), chunks))
-    return np.concatenate(parts, axis=0)
 
 
 def _norm(v) -> float:
@@ -92,8 +70,11 @@ def integrate_adaptive(
     edges (the integrand may have removable kinks there, e.g. pencil roots);
     max_width caps the initial panel width for oscillatory integrands.
     Returns the accumulated value; the combined Kronrod-vs-Gauss error is
-    driven below tol_abs + tol_rel * |result|.
+    driven below tol_abs + tol_rel * |result|.  Raises NonFinite for an
+    infinite limit or when f returns a NaN or infinite value at any node.
     """
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise NonFinite("integration limits must be finite")
     if not b > a:
         if b == a:
             return 0.0
@@ -102,13 +83,14 @@ def integrate_adaptive(
     if max_width is not None:
         edges = subdivide_width(edges, max_width)
     panels = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    workers = worker_count()
 
     def rule(panel_list):
         pts = np.concatenate(
             [0.5 * (lo + hi) + 0.5 * (hi - lo) * GK_NODES for lo, hi in panel_list]
         )
-        vals = _eval_batched(f, pts, workers)
+        vals = np.asarray(f(pts))
+        if not np.isfinite(vals).all():
+            raise NonFinite("integrand returned a NaN or infinite value")
         vals = vals.reshape((len(panel_list), 15) + vals.shape[1:])
         half = np.array([0.5 * (hi - lo) for lo, hi in panel_list])
         shape_tail = (1,) * (vals.ndim - 2)

@@ -1,12 +1,20 @@
-"""File formats and the command-line interface, driven in process."""
+"""File formats and the command-line interface, driven in process.
+
+One check runs `python -m crheat` in a subprocess, so that a hang is cut
+off by a timeout instead of stalling the suite.
+"""
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import crheat
 from crheat.cli import main
 from crheat.density import curvature_point, density_diagonal
 from crheat.errors import FileFormatError, NonHermitian
@@ -286,3 +294,73 @@ def test_missing_input_file(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_non_finite_point_file_exits_2_quickly(tmp_path):
+    good = format_point(curvature_point([[1.0]], [[0.5]]))
+    src = str(pathlib.Path(crheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for broken in (
+        good.replace("[[0.5, 0.0]]", "[[NaN, 0.0]]"),
+        good.replace('"weight": 1.0', '"weight": Infinity'),
+        good.replace('"beta": 0.0', '"beta": NaN'),
+    ):
+        assert broken != good
+        path = tmp_path / "p.json"
+        path.write_text(broken)
+        proc = subprocess.run(
+            [sys.executable, "-m", "crheat", "density", "--input", str(path),
+             "--q", "0", "--t", "1", "--delta", "2"],
+            capture_output=True, text=True, timeout=5, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "" and "error:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--input", POINT_CONVEX, "--q", "0", "--t", "-1", "--delta", "2"),
+        ("density", "--input", POINT_CONVEX, "--q", "0", "--t", "nan", "--delta", "2"),
+        ("density", "--input", POINT_CONVEX, "--q", "0", "--t", "0", "--delta", "2"),
+        ("density", "--input", POINT_CONVEX, "--q", "0", "--t", "1", "--delta=-1"),
+        ("density", "--input", POINT_CONVEX, "--q", "0", "--t", "1", "--delta", "inf"),
+        ("density", "--input", POINT_CONVEX, "--q", "0", "--t", "1", "--delta", "2",
+         "--eta-grid", "0:nan:1"),
+        ("kernel", "--input", POINT_CONVEX, "--q", "0", "--t", "1", "--x", "0,0,0",
+         "--y", "0,0,0", "--delta", "-2"),
+        ("morse", "--input", DESC_INDEF, "--q", "1", "--heat-t", "1,-1"),
+    ],
+)
+def test_bad_reals_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_finite_coordinate_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "kernel", "--input", POINT_CONVEX, "--q", "0", "--t", "1.0",
+        "--x", "0,nan,0", "--y", "0,0,0", "--delta", "1.0",
+    )
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+def test_dash_led_values_are_accepted(capsys):
+    code, out, _ = run_cli(
+        capsys, "density", "--input", POINT_DEFINITE, "--q", "1", "--t", "1.0",
+        "--eta-grid", "-2:2:0.5",
+    )
+    assert code == 0
+    _, joined, _ = run_cli(
+        capsys, "density", "--input", POINT_DEFINITE, "--q", "1", "--t", "1.0",
+        "--eta-grid=-2:2:0.5",
+    )
+    assert out == joined
+    args = ("kernel", "--input", POINT_CONVEX, "--q", "0", "--t", "1.0", "--delta", "6.0")
+    code, out, _ = run_cli(capsys, *args, "--x", "-0.1,-0.4,0.0", "--y", "0.3,0.2,-0.1")
+    assert code == 0
+    _, joined, _ = run_cli(capsys, *args, "--x=-0.1,-0.4,0.0", "--y=0.3,0.2,-0.1")
+    assert out == joined

@@ -18,6 +18,7 @@ from crheat.density import (
 from crheat.errors import (
     DegreeOutOfRange,
     DivergentIntegral,
+    NonFinite,
     NonRigidTruncation,
     OnSignatureBoundary,
 )
@@ -210,6 +211,12 @@ def test_diagonal_input_validation():
         density_diagonal(P_INDEF, 1, -1.0)
     with pytest.raises(ValueError):
         density_diagonal(P_INDEF, 1, 1.0, delta=-0.5)
+
+
+def test_curvature_point_rejects_non_finite_scalars():
+    for kwargs in ({"beta": math.nan}, {"beta": -math.inf}, {"weight": math.inf}, {"weight": math.nan}):
+        with pytest.raises(NonFinite):
+            curvature_point([[1.0]], [[1.0]], **kwargs)
 
 
 def test_diagonal_against_quadrature_oracle():

@@ -113,3 +113,23 @@ def test_exterior_power_multiplicative():
 def test_exterior_power_q_zero_scalar_one():
     u = np.eye(3)
     assert np.allclose(exterior_power_matrix(u, 0), [[1.0]])
+
+
+def _minor_loop(u, q):
+    """Entry-by-entry reference: one q x q determinant per basis pair."""
+    rows = [np.array(J) - 1 for J in basis(u.shape[0], q).indices]
+    out = np.empty((len(rows), len(rows)), dtype=complex)
+    for r, jr in enumerate(rows):
+        for c, jc in enumerate(rows):
+            out[r, c] = np.linalg.det(u[np.ix_(jr, jc)]) if q else 1.0
+    return out
+
+
+def test_exterior_power_matches_minor_loop():
+    rng = np.random.default_rng(6)
+    for n in range(1, 7):
+        u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for q in range(n + 1):
+            got = exterior_power_matrix(u, q)
+            assert got.shape == (math.comb(n, q),) * 2
+            assert np.array_equal(got, _minor_loop(u, q))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crheat.errors import NonHermitian, ZeroPolynomial
+from crheat.errors import NoConvergence, NonFinite, NonHermitian, ZeroPolynomial
 from crheat.hermitian import (
     HermitianForm,
     bose_ratio,
@@ -34,6 +34,38 @@ def test_hermitian_form_rejects_asymmetry():
     m = np.array([[1.0, 0.5 + 3e-11j], [0.5, 2.0]])
     h = HermitianForm(m)
     assert np.allclose(h.mat, h.mat.conj().T)
+
+
+def test_hermitian_form_rejects_non_finite():
+    for bad in (math.nan, math.inf, complex(0.0, math.inf)):
+        with pytest.raises(NonFinite):
+            HermitianForm(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NonFinite):
+            eig_hermitian(np.array([[1.0, bad], [np.conj(bad), 1.0]]))
+
+
+def test_eig_results_are_read_only():
+    es = eig_hermitian(np.diag([2.0, -1.0]))
+    assert list(es.eigenvalues) == [-1.0, 2.0]
+    assert not es.eigenvalues.flags.writeable
+    assert not es.unitary.flags.writeable
+
+
+def test_eig_one_by_one_matches_lapack():
+    for a in (0.0, -2.5, 1e300):
+        es = eig_hermitian([[a]])
+        vals, vecs = np.linalg.eigh(np.array([[complex(a)]]))
+        assert np.array_equal(es.eigenvalues, vals) and es.eigenvalues.dtype == vals.dtype
+        assert np.array_equal(es.unitary, vecs) and es.unitary.dtype == vecs.dtype
+
+
+def test_eig_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence):
+        eig_hermitian(np.eye(2))
 
 
 def test_eig_identity():
@@ -172,3 +204,52 @@ def test_make_pencil_evaluation():
     pen = make_pencil(np.diag([-1.0, 1.0]), np.eye(2))
     m = pen.at(0.25)
     assert np.allclose(m, np.diag([-1.5, 0.5]))
+
+
+# Masked reference formulas: each branch is evaluated only on the elements
+# it applies to, so no branch ever sees an argument it cannot handle.
+def _ref_bose_of_x(x):
+    out = np.empty_like(x)
+    small = np.abs(x) < 1e-4
+    xs = x[small]
+    out[small] = 1.0 + xs / 2.0 + xs**2 / 12.0 - xs**4 / 720.0 + xs**6 / 30240.0
+    pos = (~small) & (x > 0)
+    out[pos] = x[pos] / (-np.expm1(-x[pos]))
+    neg = (~small) & (x < 0)
+    xn = x[neg]
+    out[neg] = xn * np.exp(xn) / np.expm1(xn)
+    return out
+
+
+def _ref_tanh_of_u(u):
+    out = np.empty_like(u)
+    small = np.abs(u) < 1e-4 / 2.0
+    us = u[small]
+    out[small] = 1.0 + us**2 / 3.0 - us**4 / 45.0 + 2.0 * us**6 / 945.0
+    big = ~small
+    out[big] = u[big] / np.tanh(u[big])
+    return out
+
+
+_WIDE = st.floats(-1e300, 1e300, allow_nan=False)
+_NEAR_CUT = st.floats(-3e-4, 3e-4, allow_nan=False)
+
+
+@given(
+    st.lists(st.one_of(_WIDE, _NEAR_CUT, st.sampled_from([0.0, 1e-4, -1e-4])), min_size=1, max_size=8),
+    st.sampled_from([1.0, 0.5, 2.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_scalars_match_masked_reference(mu, t):
+    mu = np.array(mu)
+    bose = bose_ratio(mu, t)
+    tanh = tanh_ratio(mu, t)
+    assert bose.shape == tanh.shape == mu.shape
+    assert np.all(np.isfinite(bose)) and np.all(np.isfinite(tanh))
+    np.testing.assert_allclose(bose, _ref_bose_of_x(t * mu) / t, rtol=4e-16, atol=0)
+    np.testing.assert_allclose(tanh, _ref_tanh_of_u(t * mu / 2.0) / t, rtol=4e-16, atol=0)
+
+
+def test_scalars_accept_python_floats():
+    assert bose_ratio(0.0, 2.0) == 0.5
+    assert isinstance(tanh_ratio(1.0, 1.0), float)

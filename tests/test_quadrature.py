@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from crheat.quadrature import integrate_adaptive, subdivide_width, worker_count
+from crheat.errors import NonFinite
+from crheat.quadrature import integrate_adaptive, subdivide_width
 
 
 def test_polynomial_exact():
@@ -64,23 +65,21 @@ def test_subdivide_width():
     assert 0.7 in out2
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("CRHEAT_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("CRHEAT_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("CRHEAT_THREADS", "junk")
-    assert worker_count() >= 1
-    monkeypatch.delenv("CRHEAT_THREADS")
-    assert worker_count() >= 1
+def test_non_finite_values_raise_instead_of_refining():
+    calls = []
 
-
-def test_single_thread_matches_parallel(monkeypatch):
     def f(x):
-        return np.exp(-(x**2)) * np.cos(3.0 * x)
+        calls.append(len(x))
+        return np.where(x > 0.6, np.nan, np.sin(x))
 
-    monkeypatch.setenv("CRHEAT_THREADS", "1")
-    v1 = integrate_adaptive(f, -6.0, 6.0)
-    monkeypatch.setenv("CRHEAT_THREADS", "4")
-    v4 = integrate_adaptive(f, -6.0, 6.0)
-    assert v1 == v4
+    with pytest.raises(NonFinite):
+        integrate_adaptive(f, 0.0, 1.0)
+    assert calls == [15]
+    with pytest.raises(NonFinite):
+        integrate_adaptive(lambda x: np.full((len(x), 2, 2), np.inf), 0.0, 1.0)
+
+
+def test_infinite_limits_raise():
+    for a, b in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)):
+        with pytest.raises(NonFinite):
+            integrate_adaptive(np.cos, a, b)
