@@ -38,16 +38,11 @@ from .heisenberg import (
     mehler_kernel,
 )
 from .hermitian import (
-    EtaPencil,
     HermitianForm,
     bose_ratio,
     eig_hermitian,
-    exp_neg,
-    make_pencil,
-    matfun,
     pencil_det_poly,
     pencil_real_roots,
-    sinh_ratio,
     tanh_ratio,
 )
 from .morse import (
@@ -83,7 +78,6 @@ __all__ = [
     "Divergent",
     "DivergentIntegral",
     "EtaPartition",
-    "EtaPencil",
     "FileFormatError",
     "FormEndomorphism",
     "GridSpec",
@@ -106,7 +100,6 @@ __all__ = [
     "density_integrand",
     "eig_hermitian",
     "exp_endo",
-    "exp_neg",
     "exterior_power_matrix",
     "fiber_kernel_apply",
     "heat_residual_check",
@@ -117,8 +110,6 @@ __all__ = [
     "limit_integrand",
     "load_descriptor",
     "load_point",
-    "make_pencil",
-    "matfun",
     "mehler_kernel",
     "morse_global",
     "morse_local",
@@ -132,7 +123,6 @@ __all__ = [
     "save_point",
     "scaled_laplacian_applier",
     "semigroup_check",
-    "sinh_ratio",
     "tail_certificate",
     "tail_decay",
     "tanh_ratio",

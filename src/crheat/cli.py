@@ -81,6 +81,10 @@ def _times(text: str) -> list:
     return [_time(v) for v in text.split(",")]
 
 
+# Each --eta-grid sample is one integrand evaluation.
+MAX_ETA_SAMPLES = 10_000
+
+
 def _eta_grid(spec: str) -> list:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -88,8 +92,10 @@ def _eta_grid(spec: str) -> list:
     a, b, step = (_number(v) for v in parts)
     if step <= 0 or b < a:
         raise argparse.ArgumentTypeError("needs STEP > 0 and B >= A")
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
-    return [a + k * step for k in range(count)]
+    steps = (b - a) / step + 1e-9
+    if not steps < MAX_ETA_SAMPLES:
+        raise argparse.ArgumentTypeError(f"A:B:STEP gives more than {MAX_ETA_SAMPLES} samples")
+    return [a + k * step for k in range(int(steps) + 1)]
 
 
 def _check_q(q: int, n: int):

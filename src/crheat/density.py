@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DegreeOutOfRange,
     DivergentIntegral,
+    IdenticallyDegeneratePencil,
     NonFinite,
     NonRigidTruncation,
     OnSignatureBoundary,
@@ -34,7 +36,12 @@ _DECAY_FACTOR_CONST = 1.0 / (1.0 - math.exp(-1.0))
 
 @dataclass(frozen=True)
 class CurvaturePoint:
-    """Per-point model data: dimension, Levi form, curvature form, beta, weight."""
+    """Per-point model data: dimension, Levi form, curvature form, beta, weight.
+
+    The pencil's determinant polynomial and its real roots are computed
+    on first use and kept (as tuples, so no caller can alter them), and
+    every eta-integral at the point shares one expansion.
+    """
 
     n: int
     levi: HermitianForm
@@ -51,6 +58,22 @@ class CurvaturePoint:
             raise NonFinite("weight and beta must be finite")
         if not self.weight > 0:
             raise ValueError("quadrature weight must be positive")
+
+    @cached_property
+    def det_poly(self) -> tuple:
+        """Coefficients c_0..c_deg of det M(eta) (see pencil_det_poly)."""
+        return tuple(pencil_det_poly(self.curvature.mat, self.levi.mat))
+
+    @cached_property
+    def pencil_roots(self) -> tuple:
+        """Sorted real roots of det M(eta).
+
+        Raises IdenticallyDegeneratePencil when det M vanishes for every eta.
+        """
+        try:
+            return tuple(pencil_real_roots(self.det_poly))
+        except ZeroPolynomial as exc:
+            raise IdenticallyDegeneratePencil("pencil determinant vanishes identically") from exc
 
 
 def curvature_point(curvature, levi, beta: float = 0.0, weight: float = 1.0) -> CurvaturePoint:
@@ -126,28 +149,35 @@ def tail_decay(levi, q: int) -> DecayReport:
     return DecayReport(plus, minus, rate_plus, rate_minus)
 
 
-def component_scalars(mu: np.ndarray, t: float, indices) -> np.ndarray:
+def component_scalars(bose_plus: np.ndarray, bose_minus: np.ndarray, indices) -> np.ndarray:
     """Per-component scalar of the integrand in the pencil eigenbasis.
 
-    For each multi-index J this is
+    With bose_plus = bose(mu, t) and bose_minus = bose(-mu, t) over the
+    pencil eigenvalues mu, each multi-index J gets
         prod_{j in J} bose(-mu_j, t) * prod_{j not in J} bose(mu_j, t),
     which equals [prod_j bose(mu_j, t)] * exp(-t * sum_{j in J} mu_j)
     because bose(-mu) = bose(mu) * exp(-t*mu).  The paired form never
     multiplies an overflowing exponential by an underflowing one, so it
     stays finite for every t and eta.
     """
-    bp = np.atleast_1d(bose_ratio(mu, t))
-    bm = np.atleast_1d(bose_ratio(-mu, t))
-    inside = np.array([[j in J for j in range(1, len(bp) + 1)] for J in indices], dtype=bool)
-    return np.where(inside, bm, bp).prod(axis=1)
+    inside = np.array([[j in J for j in range(1, len(bose_plus) + 1)] for J in indices], dtype=bool)
+    return np.where(inside, bose_minus, bose_plus).prod(axis=1)
 
 
-def _integrand_matrix(p: CurvaturePoint, q: int, t: float, eta: float, indices):
+def _eta_node(p: CurvaturePoint, q: int, t: float, eta: float, indices):
+    """Everything the degree-q integrands need at one eta node.
+
+    Returns the eigensystem of M(eta), the Bose values bose(+mu, t) and
+    bose(-mu, t), and the core E diag(d) E^H, where E is the q-th
+    exterior power of the eigenvectors and d the component scalars.
+    """
     M = p.curvature.mat - (2.0 * eta) * p.levi.mat
     es = eig_hermitian(M)
-    d = component_scalars(es.eigenvalues, t, indices)
+    bose_plus = bose_ratio(es.eigenvalues, t)
+    bose_minus = bose_ratio(-es.eigenvalues, t)
+    d = component_scalars(bose_plus, bose_minus, indices)
     E = exterior_power_matrix(es.unitary, q)
-    return (E * d) @ E.conj().T
+    return es, bose_plus, bose_minus, (E * d) @ E.conj().T
 
 
 def density_integrand(p: CurvaturePoint, q: int, t: float, eta: float) -> FormEndomorphism:
@@ -159,7 +189,7 @@ def density_integrand(p: CurvaturePoint, q: int, t: float, eta: float) -> FormEn
     if not t > 0:
         raise ValueError("t must be positive")
     b = basis(p.n, q)
-    return FormEndomorphism(b, _integrand_matrix(p, q, t, eta, b.indices))
+    return FormEndomorphism(b, _eta_node(p, q, t, eta, b.indices)[3])
 
 
 def tail_certificate(
@@ -224,12 +254,56 @@ def tail_certificate(
     return math.exp(log_cert)
 
 
-def _pencil_roots_or_empty(p: CurvaturePoint) -> list[float]:
-    coeffs = pencil_det_poly(p.curvature.mat, p.levi.mat)
+def _eta_integral(p: CurvaturePoint, q: int, t: float, delta, f, tol: float, width=None, cert_scale=1.0):
+    """Eta-integral of the vectorized degree-q integrand f at the point p.
+
+    Over [-delta, delta] when delta is given (zero when delta == 0), else
+    over the whole line, which needs the integrand to decay in both eta
+    directions (DivergentIntegral otherwise).  Pencil roots are panel
+    breaks; width caps panel widths for oscillatory integrands.  The
+    full-line window [-H, H] doubles until the tail certificate, times
+    cert_scale (the factor f applies on top of the raw density
+    integrand), drops below 1e-12 of the accumulated integral.
+    """
+    if not t > 0:
+        raise ValueError("t must be positive")
+    if delta is not None:
+        if delta < 0:
+            raise ValueError("delta must be nonnegative")
+        if delta == 0:
+            dim = math.comb(p.n, q)
+            return np.zeros((dim, dim), dtype=complex)
+    else:
+        rep = tail_decay(p.levi, q)
+        if not (rep.plus_decays and rep.minus_decays):
+            direction = {
+                (False, False): "both", (False, True): "+infinity", (True, False): "-infinity"
+            }[(rep.plus_decays, rep.minus_decays)]
+            raise DivergentIntegral(
+                f"integrand does not decay as eta -> {direction}; "
+                "use a truncation interval instead",
+                direction=direction,
+            )
     try:
-        return pencil_real_roots(coeffs)
-    except ZeroPolynomial:
-        return []
+        roots = p.pencil_roots
+    except IdenticallyDegeneratePencil:
+        roots = []
+    if delta is not None:
+        return integrate_adaptive(f, -delta, delta, tol, tol, interior_breaks=roots, max_width=width)
+    c_norm = float(np.linalg.norm(p.curvature.mat))
+    l_norm = float(np.linalg.norm(p.levi.mat))
+    H = 2.0 * (1.0 + (max(abs(r) for r in roots) if roots else 0.0))
+    total = integrate_adaptive(f, -H, H, tol, tol, interior_breaks=roots, max_width=width)
+    for _ in range(60):
+        cert = tail_certificate(c_norm, l_norm, p.n, q, t, rep.rate_plus, H) + tail_certificate(
+            c_norm, l_norm, p.n, q, t, rep.rate_minus, H
+        )
+        if cert * cert_scale <= 1e-12 * float(np.max(np.abs(total))):
+            return total
+        total = total + integrate_adaptive(f, H, 2.0 * H, tol, tol, max_width=width)
+        total = total + integrate_adaptive(f, -2.0 * H, -H, tol, tol, max_width=width)
+        H *= 2.0
+    raise DivergentIntegral("tail certificate did not close after 60 window doublings")
 
 
 def density_diagonal(p: CurvaturePoint, q: int, t: float, delta: float | None = None) -> FormEndomorphism:
@@ -242,56 +316,15 @@ def density_diagonal(p: CurvaturePoint, q: int, t: float, delta: float | None = 
     window [-H, H] until the analytic tail certificate drops below 1e-12
     of the accumulated integral.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    if delta is not None and p.beta != 0.0:
+        raise NonRigidTruncation("truncated integral needs the rigid gauge beta = 0")
     b = basis(p.n, q)
-    dim = len(b.indices)
-    norm_factor = (2.0 * math.pi) ** (-(p.n + 1))
 
     def f(etas):
-        return np.stack([_integrand_matrix(p, q, t, e, b.indices) for e in etas])
+        return np.stack([_eta_node(p, q, t, e, b.indices)[3] for e in etas])
 
-    if delta is not None:
-        if p.beta != 0.0:
-            raise NonRigidTruncation(
-                "truncated integral needs the rigid gauge beta = 0"
-            )
-        if delta < 0:
-            raise ValueError("delta must be nonnegative")
-        if delta == 0:
-            return FormEndomorphism(b, np.zeros((dim, dim), dtype=complex))
-        roots = _pencil_roots_or_empty(p)
-        total = integrate_adaptive(f, -delta, delta, 1e-9, 1e-9, interior_breaks=roots)
-        return FormEndomorphism(b, total * norm_factor)
-
-    rep = tail_decay(p.levi, q)
-    if not (rep.plus_decays and rep.minus_decays):
-        if not rep.plus_decays and not rep.minus_decays:
-            direction = "both"
-        elif not rep.plus_decays:
-            direction = "+infinity"
-        else:
-            direction = "-infinity"
-        raise DivergentIntegral(
-            f"integrand does not decay as eta -> {direction}; "
-            "use a truncation interval instead",
-            direction=direction,
-        )
-    roots = _pencil_roots_or_empty(p)
-    c_norm = float(np.linalg.norm(p.curvature.mat))
-    l_norm = float(np.linalg.norm(p.levi.mat))
-    H = 2.0 * (1.0 + (max(abs(r) for r in roots) if roots else 0.0))
-    total = integrate_adaptive(f, -H, H, 1e-9, 1e-9, interior_breaks=roots)
-    for _ in range(60):
-        cert = tail_certificate(c_norm, l_norm, p.n, q, t, rep.rate_plus, H) + tail_certificate(
-            c_norm, l_norm, p.n, q, t, rep.rate_minus, H
-        )
-        if cert <= 1e-12 * float(np.max(np.abs(total))):
-            return FormEndomorphism(b, total * norm_factor)
-        total = total + integrate_adaptive(f, H, 2.0 * H, 1e-9, 1e-9)
-        total = total + integrate_adaptive(f, -2.0 * H, -H, 1e-9, 1e-9)
-        H *= 2.0
-    raise RuntimeError("tail certificate did not close after 60 window doublings")
+    total = _eta_integral(p, q, t, delta, f, 1e-9)
+    return FormEndomorphism(b, total * (2.0 * math.pi) ** (-(p.n + 1)))
 
 
 def limit_integrand(p: CurvaturePoint, q: int, j: int, eta: float) -> float:
@@ -305,7 +338,7 @@ def limit_integrand(p: CurvaturePoint, q: int, j: int, eta: float) -> float:
     n = p.n
     if not 0 <= q <= n or not 0 <= j <= n:
         raise DegreeOutOfRange(f"degree q={q} or j={j} outside 0..{n}")
-    coeffs = np.asarray(pencil_det_poly(p.curvature.mat, p.levi.mat))
+    coeffs = np.asarray(p.det_poly)
     cmax = float(np.max(np.abs(coeffs)))
     scale = cmax * max(1.0, abs(eta)) ** n
     value = float(np.polynomial.polynomial.polyval(eta, coeffs))

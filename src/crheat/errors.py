@@ -30,7 +30,7 @@ class ZeroPolynomial(CrheatError):
 
 
 class UnknownFunction(CrheatError):
-    """matfun received an unrecognized scalar-function identifier."""
+    """validate was asked for a suite it does not know."""
 
 
 class DegreeOutOfRange(CrheatError):
@@ -42,7 +42,7 @@ class PathMismatch(CrheatError):
 
 
 class DivergentIntegral(CrheatError):
-    """A full-line eta integral does not converge.
+    """A full-line eta integral does not converge, or its tail cannot be certified.
 
     ``direction`` names the failing end ("+infinity", "-infinity" or "both").
     """
@@ -73,7 +73,7 @@ class MixedDimension(CrheatError):
 
 
 class MaxSubdivisions(CrheatError):
-    """Reference quadrature exhausted its subdivision budget."""
+    """An adaptive quadrature (the library's or the reference one) exhausted its budget."""
 
 
 class FileFormatError(CrheatError):

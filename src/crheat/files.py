@@ -79,6 +79,8 @@ def _point_from_body(body) -> CurvaturePoint:
     curvature = _matrix(body, "curvature", n)
     beta = _real(body, "beta", 0.0)
     weight = _real(body, "weight", 1.0)
+    if weight <= 0:
+        raise FileFormatError("'weight' must be positive")
     return curvature_point(curvature, levi, beta=beta, weight=weight)
 
 

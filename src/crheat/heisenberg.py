@@ -15,18 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import CurvaturePoint, component_scalars, tail_certificate, tail_decay
-from .errors import DivergentIntegral, ZeroPolynomial
-from .exterior import FormEndomorphism, basis, exterior_power_matrix
-from .hermitian import (
-    as_hermitian,
-    bose_ratio,
-    eig_hermitian,
-    pencil_det_poly,
-    pencil_real_roots,
-    tanh_ratio,
-)
-from .quadrature import integrate_adaptive
+from .density import CurvaturePoint, _eta_integral, _eta_node
+from .errors import NonFinite
+from .exterior import FormEndomorphism, basis
+from .hermitian import as_hermitian, bose_ratio, eig_hermitian, tanh_ratio
 
 
 @dataclass(frozen=True)
@@ -39,6 +31,8 @@ class HeisenbergPoint:
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(complex(v) for v in self.z))
         object.__setattr__(self, "theta", float(self.theta))
+        if not (np.isfinite(self.z).all() and math.isfinite(self.theta)):
+            raise NonFinite("group point coordinates must be finite")
 
     @property
     def n(self) -> int:
@@ -99,9 +93,10 @@ def mehler_kernel(A, t: float, x, y) -> complex:
     return (2.0 * math.pi) ** (-n) * pref * complex(np.exp(expo))
 
 
-def _gaussian_factor(mu, U, t, z, w):
+def _gaussian_factor(mu, U, t, z, w, bose_plus, bose_minus):
     """exp of the Mehler quadratic forms at time t in the eigenframe (mu, U).
 
+    bose_plus and bose_minus are bose_ratio(+mu, t) and bose_ratio(-mu, t).
     w may carry a leading batch axis.  The real part of the exponent is
     -(z-w)^H f (z-w) <= 0, so the factor never exceeds 1 in modulus and
     equals 1 at z = w.
@@ -109,10 +104,8 @@ def _gaussian_factor(mu, U, t, z, w):
     ze = U.conj().T @ z
     we = np.tensordot(np.asarray(w, dtype=complex), U.conj(), axes=(-1, 0))
     f = tanh_ratio(mu, t)
-    gp = bose_ratio(mu, t)
-    gm = bose_ratio(-mu, t)
-    cross = np.sum(we.conj() * (gp * ze), axis=-1) + np.conj(
-        np.sum(we.conj() * (gm * ze), axis=-1)
+    cross = np.sum(we.conj() * (bose_plus * ze), axis=-1) + np.conj(
+        np.sum(we.conj() * (bose_minus * ze), axis=-1)
     )
     expo = -np.sum(f * np.abs(ze) ** 2) - np.sum(f * np.abs(we) ** 2, axis=-1) + cross
     return np.exp(expo)
@@ -125,16 +118,9 @@ def _fiber_matrix(p: CurvaturePoint, q: int, t: float, eta: float, indices, z, w
     the paired per-component scalars so that large t never multiplies an
     overflowing endomorphism by a vanishing prefactor.
     """
-    M = p.curvature.mat - (2.0 * eta) * p.levi.mat
-    es = eig_hermitian(M)
-    d = component_scalars(es.eigenvalues, t, indices)
-    E = exterior_power_matrix(es.unitary, q)
-    g = _gaussian_factor(es.eigenvalues, es.unitary, t, z, w)
-    core = (E * d) @ E.conj().T
-    scale = (2.0 * math.pi) ** (-p.n) * g
-    if np.ndim(scale) == 0:
-        return scale * core
-    return scale[..., None, None] * core
+    es, bose_plus, bose_minus, core = _eta_node(p, q, t, eta, indices)
+    g = _gaussian_factor(es.eigenvalues, es.unitary, t, z, w, bose_plus, bose_minus)
+    return (2.0 * math.pi) ** (-p.n) * g * core
 
 
 def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> KernelValue:
@@ -154,23 +140,17 @@ def _quadratic_forms(mat, z, w):
     return vz, vw
 
 
+def _prefactor(exponent):
+    """exp(exponent); NonFinite where it overflows, rather than a NaN kernel."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pref = np.exp(exponent)
+    if not np.isfinite(pref).all():
+        raise NonFinite("kernel prefactor overflows: the points are too far from the origin")
+    return pref
+
+
 def _oscillatory_width(theta_gap: float) -> float:
     return math.pi / (4.0 * abs(theta_gap) + 1.0)
-
-
-def _pencil_roots(p: CurvaturePoint) -> list[float]:
-    try:
-        return pencil_real_roots(pencil_det_poly(p.curvature.mat, p.levi.mat))
-    except ZeroPolynomial:
-        return []
-
-
-def _divergence_direction(rep) -> str:
-    if not rep.plus_decays and not rep.minus_decays:
-        return "both"
-    if not rep.plus_decays:
-        return "+infinity"
-    return "-infinity"
 
 
 def heisenberg_heat_kernel(
@@ -195,12 +175,9 @@ def heisenberg_heat_kernel(
     reuses the density module's certificate, valid here because the
     Gaussian factor has modulus at most one.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
     if x.n != p.n or y.n != p.n:
         raise ValueError("point dimension does not match the curvature data")
     b = basis(p.n, q)
-    dim = len(b.indices)
     z = np.asarray(x.z, dtype=complex)
     w = np.asarray(y.z, dtype=complex)
     theta_gap = x.theta - y.theta
@@ -212,45 +189,12 @@ def heisenberg_heat_kernel(
 
     lz, lw = _quadratic_forms(p.levi.mat, z, w)
     cz, cw = _quadratic_forms(p.curvature.mat, z, w)
-    pref = np.exp(
+    pref = _prefactor(
         0.5 * p.beta * theta_gap + 0.5j * p.beta * (lw - lz) + 0.5 * (cz - cw)
     ) / (2.0 * math.pi)
     width = _oscillatory_width(theta_gap) if theta_gap != 0.0 else None
-    roots = _pencil_roots(p)
-
-    if delta is not None:
-        if delta < 0:
-            raise ValueError("delta must be nonnegative")
-        if delta == 0:
-            return KernelValue(FormEndomorphism(b, np.zeros((dim, dim), dtype=complex)))
-        total = integrate_adaptive(
-            f, -delta, delta, 1e-10, 1e-10, interior_breaks=roots, max_width=width
-        )
-        return KernelValue(FormEndomorphism(b, pref * total))
-
-    rep = tail_decay(p.levi, q)
-    if not (rep.plus_decays and rep.minus_decays):
-        direction = _divergence_direction(rep)
-        raise DivergentIntegral(
-            f"fiber kernel does not decay as eta -> {direction}; "
-            "use a frequency truncation instead",
-            direction=direction,
-        )
-    c_norm = float(np.linalg.norm(p.curvature.mat))
-    l_norm = float(np.linalg.norm(p.levi.mat))
-    H = 2.0 * (1.0 + (max(abs(r) for r in roots) if roots else 0.0))
-    total = integrate_adaptive(f, -H, H, 1e-10, 1e-10, interior_breaks=roots, max_width=width)
-    for _ in range(60):
-        cert = tail_certificate(c_norm, l_norm, p.n, q, t, rep.rate_plus, H) + tail_certificate(
-            c_norm, l_norm, p.n, q, t, rep.rate_minus, H
-        )
-        cert *= (2.0 * math.pi) ** (-p.n)
-        if cert <= 1e-12 * float(np.max(np.abs(total))):
-            return KernelValue(FormEndomorphism(b, pref * total))
-        total = total + integrate_adaptive(f, H, 2.0 * H, 1e-10, 1e-10, max_width=width)
-        total = total + integrate_adaptive(f, -2.0 * H, -H, 1e-10, 1e-10, max_width=width)
-        H *= 2.0
-    raise RuntimeError("tail certificate did not close after 60 window doublings")
+    total = _eta_integral(p, q, t, delta, f, 1e-10, width, (2.0 * math.pi) ** (-p.n))
+    return KernelValue(FormEndomorphism(b, pref * total))
 
 
 def heisenberg_kernel_batch(
@@ -260,20 +204,18 @@ def heisenberg_kernel_batch(
     x: HeisenbergPoint,
     zs,
     thetas,
-    delta: float,
+    delta: float | None,
     adjoint: bool = False,
 ) -> np.ndarray:
-    """Truncated kernel K(t; x, u_i) for a batch of points u_i = (zs[i], thetas[i]).
+    """Kernel K(t; x, u_i) for a batch of points u_i = (zs[i], thetas[i]).
 
-    With adjoint=True returns K(t; u_i, x) instead.  One eta panel set is
-    shared across the whole batch (refinement driven by the worst point),
-    which is what makes grid convolution tests affordable.  Returns an
-    array of shape (len(zs), dim, dim).
+    With adjoint=True returns K(t; u_i, x) instead.  The eta-integral runs
+    over [-delta, delta], or the whole line when delta is None, as in
+    heisenberg_heat_kernel.  One eta panel set is shared across the whole
+    batch (refinement driven by the worst point), which is what makes
+    grid convolution tests affordable.  Returns an array of shape
+    (len(zs), dim, dim).
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
     b = basis(p.n, q)
     zs = np.asarray(zs, dtype=complex).reshape(-1, p.n)
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
@@ -283,29 +225,25 @@ def heisenberg_kernel_batch(
     gaps = (thetas - x.theta) if adjoint else (x.theta - thetas)
     max_gap = float(np.max(np.abs(gaps))) if len(gaps) else 0.0
     width = _oscillatory_width(max_gap) if max_gap != 0.0 else None
-    roots = _pencil_roots(p)
+    scale = (2.0 * math.pi) ** (-p.n)
 
     def f(etas):
         etas = np.asarray(etas)
         out = np.empty((len(etas), len(zs), len(b.indices), len(b.indices)), dtype=complex)
         for k, e in enumerate(etas):
-            M = p.curvature.mat - (2.0 * e) * p.levi.mat
-            es = eig_hermitian(M)
-            d = component_scalars(es.eigenvalues, t, b.indices)
-            E = exterior_power_matrix(es.unitary, q)
-            core = (E * d) @ E.conj().T * (2.0 * math.pi) ** (-p.n)
-            g = _gaussian_factor(es.eigenvalues, es.unitary, t, z, zs)
+            es, bose_plus, bose_minus, core = _eta_node(p, q, t, e, b.indices)
+            g = _gaussian_factor(es.eigenvalues, es.unitary, t, z, zs, bose_plus, bose_minus)
             if adjoint:
                 g = np.conj(g)
             phase = np.exp(1j * gaps * float(e))
-            out[k] = (phase * g)[:, None, None] * core
+            out[k] = (phase * g)[:, None, None] * (core * scale)
         return out
 
-    total = integrate_adaptive(f, -delta, delta, 1e-8, 1e-8, interior_breaks=roots, max_width=width)
     lz, lw = _quadratic_forms(p.levi.mat, z, zs)
     cz, cw = _quadratic_forms(p.curvature.mat, z, zs)
     if adjoint:
-        pref = np.exp(0.5 * p.beta * gaps + 0.5j * p.beta * (lz - lw) + 0.5 * (cw - cz))
+        pref = _prefactor(0.5 * p.beta * gaps + 0.5j * p.beta * (lz - lw) + 0.5 * (cw - cz))
     else:
-        pref = np.exp(0.5 * p.beta * gaps + 0.5j * p.beta * (lw - lz) + 0.5 * (cz - cw))
+        pref = _prefactor(0.5 * p.beta * gaps + 0.5j * p.beta * (lw - lz) + 0.5 * (cz - cw))
+    total = _eta_integral(p, q, t, delta, f, 1e-8, width, scale)
     return pref[:, None, None] * total / (2.0 * math.pi)

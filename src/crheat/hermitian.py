@@ -1,7 +1,7 @@
 """Dense complex Hermitian linear algebra for small matrices (n <= 16).
 
 Provides the validated Hermitian form, the eigensolver (LAPACK through
-numpy.linalg.eigh), spectrally defined matrix functions with
+numpy.linalg.eigh), scalar functions of the eigenvalues with
 removable-singularity guards, determinant polynomials of the pencil
 R - 2*eta*L, and their real roots.  Everything here is pure and safe to
 call concurrently.
@@ -18,7 +18,6 @@ from .errors import (
     NoConvergence,
     NonFinite,
     NonHermitian,
-    UnknownFunction,
     ZeroPolynomial,
 )
 
@@ -132,45 +131,6 @@ def tanh_ratio(mu, t: float):
         big = u / np.tanh(u)
     val = np.where(np.abs(u) < _SERIES_CUTOFF / 2.0, series, big) / t
     return float(val) if scalar else val
-
-
-def sinh_ratio(mu, t: float):
-    """(mu/2) exp(t*mu/2) / sinh(t*mu/2) with the mu = 0 limit 1/t.
-
-    Algebraically identical to bose_ratio: multiplying numerator and
-    denominator by exp(-t*mu/2) gives mu / (1 - exp(-t*mu)).  Kept as a
-    separate identifier because both spellings appear in kernel formulas.
-    """
-    return bose_ratio(mu, t)
-
-
-def exp_neg(mu, t: float):
-    """exp(-t*mu)."""
-    x, scalar = _as_float_array(mu)
-    with np.errstate(over="ignore"):
-        val = np.exp(-t * x)
-    return float(val) if scalar else val
-
-
-GUARDED_FUNCTIONS = {
-    "exp_neg": exp_neg,
-    "bose_ratio": bose_ratio,
-    "tanh_ratio": tanh_ratio,
-    "sinh_ratio": sinh_ratio,
-}
-
-
-def matfun(H, f: str, t: float) -> np.ndarray:
-    """Apply a guarded scalar function to a Hermitian matrix spectrally.
-
-    f is one of "exp_neg", "bose_ratio", "tanh_ratio", "sinh_ratio";
-    the result is U diag(f(mu_j)) U^H.
-    """
-    if f not in GUARDED_FUNCTIONS:
-        raise UnknownFunction(f"unknown scalar function id {f!r}")
-    es = eig_hermitian(H)
-    vals = GUARDED_FUNCTIONS[f](es.eigenvalues, t)
-    return (es.unitary * vals) @ es.unitary.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +271,3 @@ def _newton_root(coeffs: np.ndarray, r0: float, target: float) -> float:
         if abs(step) < 1e-17 * (1.0 + abs(x)):
             break
     return best_x
-
-
-@dataclass(frozen=True)
-class EtaPencil:
-    """The family M(eta) = R - 2*eta*L together with its determinant polynomial."""
-
-    R: np.ndarray
-    L: np.ndarray
-    det_poly: tuple
-
-    def at(self, eta: float) -> np.ndarray:
-        return self.R - (2.0 * eta) * self.L
-
-
-def make_pencil(R, L) -> EtaPencil:
-    Rm = as_hermitian(R)
-    Lm = as_hermitian(L)
-    return EtaPencil(Rm, Lm, tuple(pencil_det_poly(Rm, Lm)))

@@ -16,16 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import CurvaturePoint, density_diagonal, y_condition
-from .errors import (
-    DegreeOutOfRange,
-    DivergentIntegral,
-    EmptyDescriptor,
-    IdenticallyDegeneratePencil,
-    MixedDimension,
-    ZeroPolynomial,
-)
-from .hermitian import eig_hermitian, pencil_det_poly, pencil_real_roots
+from .density import CurvaturePoint, curvature_point, density_diagonal, y_condition
+from .errors import DegreeOutOfRange, DivergentIntegral, EmptyDescriptor, MixedDimension
+from .hermitian import eig_hermitian, pencil_det_poly
 
 
 class _DivergentType:
@@ -117,16 +110,14 @@ def _signature_at(R: np.ndarray, L: np.ndarray, eta: float):
 
 
 def rx_partition(R, L) -> EtaPartition:
-    """Split the eta-line at the pencil roots and record each cell's signature."""
+    """Split the eta-line at the pencil roots and record each cell's signature.
+
+    Raises IdenticallyDegeneratePencil when det(R - 2*eta*L) vanishes for
+    every eta.
+    """
     Rm = np.asarray(R, dtype=complex)
     Lm = np.asarray(L, dtype=complex)
-    try:
-        coeffs = pencil_det_poly(Rm, Lm)
-        roots = pencil_real_roots(coeffs)
-    except ZeroPolynomial as exc:
-        raise IdenticallyDegeneratePencil(
-            "pencil determinant vanishes identically"
-        ) from exc
+    roots = curvature_point(Rm, Lm).pencil_roots
     span = 1.0 + float(np.linalg.norm(Rm)) / max(1.0, float(np.linalg.norm(Lm)))
     cells = []
     if not roots:
@@ -157,17 +148,15 @@ def morse_local(R, L, j: int, delta: float | None = None):
     The region is intersected with [-delta, delta] when delta is given.
     Returns the Divergent sentinel when some signature-j cell is unbounded
     and no truncation applies (the polynomial is nonzero there, so the
-    integral is infinite); an identically zero pencil integrates to 0.
+    integral is infinite).  An identically zero pencil has no signature
+    partition and raises IdenticallyDegeneratePencil.
     """
     Rm = np.asarray(R, dtype=complex)
     Lm = np.asarray(L, dtype=complex)
     n = Rm.shape[0]
     if not 0 <= j <= n:
         raise DegreeOutOfRange(f"degree j={j} outside 0..{n}")
-    try:
-        coeffs = pencil_det_poly(Rm, Lm)
-    except ZeroPolynomial:
-        return 0.0
+    coeffs = pencil_det_poly(Rm, Lm)
     part = rx_partition(Rm, Lm)
     anti = _antiderivative(coeffs)
     total = 0.0

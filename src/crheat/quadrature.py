@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import MaxSubdivisions, NonFinite
 
 # Kronrod 15-point nodes on [-1,1] with Kronrod weights and the embedded
 # Gauss-7 weights (zero at Kronrod-only nodes), in ascending node order.
@@ -71,7 +71,9 @@ def integrate_adaptive(
     max_width caps the initial panel width for oscillatory integrands.
     Returns the accumulated value; the combined Kronrod-vs-Gauss error is
     driven below tol_abs + tol_rel * |result|.  Raises NonFinite for an
-    infinite limit or when f returns a NaN or infinite value at any node.
+    infinite limit or when f returns a NaN or infinite value at any node,
+    and MaxSubdivisions when max_rounds refinement rounds do not reach
+    the tolerance.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise NonFinite("integration limits must be finite")
@@ -140,4 +142,4 @@ def integrate_adaptive(
         panels = [panels[i] for i in order]
         values = [values[i] for i in order]
         errors = [errors[i] for i in order]
-    raise RuntimeError("adaptive quadrature did not converge within the round budget")
+    raise MaxSubdivisions(f"adaptive quadrature did not converge within {max_rounds} rounds")

@@ -10,12 +10,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import crheat
-from crheat.cli import main
+from crheat.cli import MAX_ETA_SAMPLES, _eta_grid, main
 from crheat.density import curvature_point, density_diagonal
 from crheat.errors import FileFormatError, NonHermitian
 from crheat.files import (
@@ -364,3 +365,27 @@ def test_dash_led_values_are_accepted(capsys):
     assert code == 0
     _, joined, _ = run_cli(capsys, *args, "--x=-0.1,-0.4,0.0", "--y=0.3,0.2,-0.1")
     assert out == joined
+
+
+def test_non_positive_weight_exits_2(capsys, tmp_path):
+    good = format_point(curvature_point([[1.0]], [[0.5]]))
+    path = tmp_path / "p.json"
+    for weight in ("-1.0", "0.0"):
+        path.write_text(good.replace('"weight": 1.0', f'"weight": {weight}'))
+        code, out, err = run_cli(
+            capsys, "density", "--input", str(path), "--q", "0", "--t", "1", "--delta", "2"
+        )
+        assert code == 2 and out == ""
+        assert "'weight' must be positive" in err and "Traceback" not in err
+
+
+def test_eta_grid_sample_count_is_bounded(capsys):
+    assert len(_eta_grid(f"0:{MAX_ETA_SAMPLES - 1}:1")) == MAX_ETA_SAMPLES
+    start = time.perf_counter()
+    for spec in (f"0:{MAX_ETA_SAMPLES}:1", "0:1e9:1e-9", "0:1:1e-320"):
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "--input", POINT_CONVEX, "--q", "0", "--t", "1",
+                  "--delta", "2", f"--eta-grid={spec}"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0

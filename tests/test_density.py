@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from crheat import density
 from crheat.density import (
     curvature_point,
     density_diagonal,
@@ -211,6 +212,12 @@ def test_diagonal_input_validation():
         density_diagonal(P_INDEF, 1, -1.0)
     with pytest.raises(ValueError):
         density_diagonal(P_INDEF, 1, 1.0, delta=-0.5)
+
+
+def test_unclosed_tail_certificate_is_typed(monkeypatch):
+    monkeypatch.setattr(density, "tail_certificate", lambda *args: math.inf)
+    with pytest.raises(DivergentIntegral, match="60 window doublings"):
+        density_diagonal(P_INDEF, 1, 1.0)
 
 
 def test_curvature_point_rejects_non_finite_scalars():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crheat.density import curvature_point, density_diagonal, density_integrand
-from crheat.errors import DivergentIntegral
+from crheat.errors import DivergentIntegral, NonFinite
 from crheat.heisenberg import (
     HeisenbergPoint,
     boxeta_kernel,
@@ -151,6 +151,16 @@ def test_group_kernel_input_validation():
         heisenberg_heat_kernel(P_INDEF, 0, 1.0, x, x, delta=1.0)
     with pytest.raises(ValueError):
         heisenberg_heat_kernel(P_CONVEX, 0, 1.0, x, x, delta=-2.0)
+    for z, theta in (((math.nan,), 0.0), ((complex(0.0, math.inf),), 0.0), ((0.0,), -math.inf)):
+        with pytest.raises(NonFinite):
+            HeisenbergPoint(z, theta)
+    # exp((z^H C z)/2) overflows far from the origin: a typed error, not a NaN kernel
+    far = HeisenbergPoint((1000.0,), 0.0)
+    for delta in (2.0, 0.0):
+        with pytest.raises(NonFinite):
+            heisenberg_heat_kernel(P_CONVEX, 0, 1.0, far, x, delta=delta)
+    with pytest.raises(NonFinite):
+        heisenberg_kernel_batch(P_CONVEX, 0, 1.0, x, [[1000.0]], [0.0], delta=2.0, adjoint=True)
 
 
 def test_group_kernel_weighted_adjoint_symmetry():
@@ -188,6 +198,21 @@ def test_batch_matches_scalar_api():
         ref_a = heisenberg_heat_kernel(p, 0, 0.7, yp, xb, delta=5.0).matrix
         assert np.max(np.abs(fwd[i] - ref_f)) < 1e-14
         assert np.max(np.abs(adj[i] - ref_a)) < 1e-14
+
+
+def test_batch_full_line_and_zero_width():
+    # the batch runs the same eta driver: delta None is the full line and
+    # delta 0 gives zeros, each matching the pointwise kernel
+    p = curvature_point(np.diag([0.5, -0.3]), np.diag([1.0, 0.8]))
+    xb = HeisenbergPoint((0.2 + 0.1j, -0.1j), 0.3)
+    zs = np.array([[0.1, 0.2j], [-0.3, 0.1 + 0.1j]])
+    ths = np.array([-0.2, 0.5])
+    full = heisenberg_kernel_batch(p, 1, 0.9, xb, zs, ths, delta=None)
+    zero = heisenberg_kernel_batch(p, 1, 0.9, xb, zs, ths, delta=0.0)
+    assert zero.shape == full.shape == (2, 2, 2) and np.all(zero == 0)
+    for i in range(2):
+        ref = heisenberg_heat_kernel(p, 1, 0.9, xb, HeisenbergPoint(tuple(zs[i]), ths[i])).matrix
+        assert np.max(np.abs(full[i] - ref)) <= 1e-7 * np.max(np.abs(ref))
 
 
 def test_group_kernel_semigroup_on_3d_grid():

@@ -12,12 +12,8 @@ from crheat.hermitian import (
     HermitianForm,
     bose_ratio,
     eig_hermitian,
-    exp_neg,
-    make_pencil,
-    matfun,
     pencil_det_poly,
     pencil_real_roots,
-    sinh_ratio,
     tanh_ratio,
 )
 
@@ -93,24 +89,6 @@ def test_eig_random_reconstruction():
         assert np.all(np.diff(es.eigenvalues) >= 0)
 
 
-def test_matfun_zero_matrix_exp():
-    out = matfun(np.zeros((2, 2)), "exp_neg", 1.0)
-    assert np.allclose(out, np.eye(2), atol=1e-15)
-
-
-def test_matfun_scalar_guard():
-    out = matfun(np.array([[0.0]]), "bose_ratio", 2.0)
-    assert abs(out[0, 0] - 0.5) < 1e-15
-
-
-def test_matfun_bose_diagonal():
-    out = matfun(np.diag([1.0, -1.0]), "bose_ratio", 1.0)
-    want = np.diag([1.0 / -np.expm1(-1.0), -1.0 / -np.expm1(1.0)])
-    assert np.allclose(out, want, rtol=1e-14)
-    assert abs(out[0, 0] - 1.581977) < 1e-6
-    assert abs(out[1, 1] - 0.581977) < 1e-6
-
-
 def test_bose_branches_continuous():
     # the series kicks in below |t*mu| = 1e-4; values must line up across it
     t = 0.7
@@ -145,8 +123,8 @@ def test_bose_bounded_by_rate(mu, t):
 
 def test_tanh_and_sinh_guards():
     assert tanh_ratio(np.array([0.0]), 4.0)[0] == pytest.approx(0.25)
-    assert sinh_ratio(np.array([0.0]), 4.0)[0] == pytest.approx(0.25)
-    assert exp_neg(np.array([2.0]), 1.5)[0] == pytest.approx(math.exp(-3.0))
+    # the sinh form (mu/2) e^{t mu/2} / sinh(t mu/2) is bose_ratio itself
+    assert bose_ratio(np.array([0.0]), 4.0)[0] == pytest.approx(0.25)
 
 
 def test_pencil_det_poly_identity_pair():
@@ -198,12 +176,6 @@ def test_real_roots_none():
 def test_real_roots_zero_poly_raises():
     with pytest.raises(ZeroPolynomial):
         pencil_real_roots([0.0, 0.0])
-
-
-def test_make_pencil_evaluation():
-    pen = make_pencil(np.diag([-1.0, 1.0]), np.eye(2))
-    m = pen.at(0.25)
-    assert np.allclose(m, np.diag([-1.5, 0.5]))
 
 
 # Masked reference formulas: each branch is evaluated only on the elements

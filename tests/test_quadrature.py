@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crheat.errors import NonFinite
+from crheat.errors import MaxSubdivisions, NonFinite
 from crheat.quadrature import integrate_adaptive, subdivide_width
 
 
@@ -83,3 +83,12 @@ def test_infinite_limits_raise():
     for a, b in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)):
         with pytest.raises(NonFinite):
             integrate_adaptive(np.cos, a, b)
+
+
+def test_round_budget_exhaustion_is_typed():
+    def f(x):
+        return np.sin(40.0 * x)
+
+    assert integrate_adaptive(f, 0.0, 3.0) == pytest.approx((1.0 - np.cos(120.0)) / 40.0, abs=1e-9)
+    with pytest.raises(MaxSubdivisions):
+        integrate_adaptive(f, 0.0, 3.0, max_rounds=1)
