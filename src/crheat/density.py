@@ -21,13 +21,14 @@ from .errors import (
     DegreeOutOfRange,
     DivergentIntegral,
     IdenticallyDegeneratePencil,
+    InvalidArgument,
     NonFinite,
     NonRigidTruncation,
     OnSignatureBoundary,
     ZeroPolynomial,
 )
 from .exterior import FormEndomorphism, basis, exterior_power_matrix
-from .hermitian import HermitianForm, bose_ratio, eig_hermitian, pencil_det_poly, pencil_real_roots
+from .hermitian import HermitianForm, bose_pair, eig_hermitian, pencil_det_poly, pencil_real_roots
 from .quadrature import integrate_adaptive
 
 # Sharp bound for u*exp(-t*u)/(1-exp(-t*u)) once t*u >= 1.
@@ -57,7 +58,7 @@ class CurvaturePoint:
         if not (math.isfinite(self.weight) and math.isfinite(self.beta)):
             raise NonFinite("weight and beta must be finite")
         if not self.weight > 0:
-            raise ValueError("quadrature weight must be positive")
+            raise InvalidArgument("quadrature weight must be positive")
 
     @cached_property
     def det_poly(self) -> tuple:
@@ -149,8 +150,8 @@ def tail_decay(levi, q: int) -> DecayReport:
     return DecayReport(plus, minus, rate_plus, rate_minus)
 
 
-def component_scalars(bose_plus: np.ndarray, bose_minus: np.ndarray, indices) -> np.ndarray:
-    """Per-component scalar of the integrand in the pencil eigenbasis.
+def component_scalars(bose_plus: np.ndarray, bose_minus: np.ndarray, q: int) -> np.ndarray:
+    """Per-component scalar of the degree-q integrand in the pencil eigenbasis.
 
     With bose_plus = bose(mu, t) and bose_minus = bose(-mu, t) over the
     pencil eigenvalues mu, each multi-index J gets
@@ -160,22 +161,28 @@ def component_scalars(bose_plus: np.ndarray, bose_minus: np.ndarray, indices) ->
     multiplies an overflowing exponential by an underflowing one, so it
     stays finite for every t and eta.
     """
-    inside = np.array([[j in J for j in range(1, len(bose_plus) + 1)] for J in indices], dtype=bool)
+    inside = basis(len(bose_plus), q).membership
     return np.where(inside, bose_minus, bose_plus).prod(axis=1)
 
 
-def _eta_node(p: CurvaturePoint, q: int, t: float, eta: float, indices):
+def _check_time(t: float):
+    if not t > 0:
+        raise InvalidArgument("t must be positive")
+
+
+def _eta_node(p: CurvaturePoint, q: int, t: float, eta: float):
     """Everything the degree-q integrands need at one eta node.
 
     Returns the eigensystem of M(eta), the Bose values bose(+mu, t) and
     bose(-mu, t), and the core E diag(d) E^H, where E is the q-th
     exterior power of the eigenvectors and d the component scalars.
+    M(eta) is exactly Hermitian (the point's forms are symmetrized), so
+    the eigensolver gets it without a second validation.
     """
     M = p.curvature.mat - (2.0 * eta) * p.levi.mat
-    es = eig_hermitian(M)
-    bose_plus = bose_ratio(es.eigenvalues, t)
-    bose_minus = bose_ratio(-es.eigenvalues, t)
-    d = component_scalars(bose_plus, bose_minus, indices)
+    es = eig_hermitian(HermitianForm.trusted(M))
+    bose_plus, bose_minus = bose_pair(es.eigenvalues, t)
+    d = component_scalars(bose_plus, bose_minus, q)
     E = exterior_power_matrix(es.unitary, q)
     return es, bose_plus, bose_minus, (E * d) @ E.conj().T
 
@@ -186,10 +193,8 @@ def density_integrand(p: CurvaturePoint, q: int, t: float, eta: float) -> FormEn
     Finite for every eta, including pencil roots (removable singularities
     are guarded at the scalar level).
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    b = basis(p.n, q)
-    return FormEndomorphism(b, _eta_node(p, q, t, eta, b.indices)[3])
+    _check_time(t)
+    return FormEndomorphism(basis(p.n, q), _eta_node(p, q, t, eta)[3])
 
 
 def tail_certificate(
@@ -265,13 +270,12 @@ def _eta_integral(p: CurvaturePoint, q: int, t: float, delta, f, tol: float, wid
     cert_scale (the factor f applies on top of the raw density
     integrand), drops below 1e-12 of the accumulated integral.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
+    dim = len(basis(p.n, q).indices)
     if delta is not None:
         if delta < 0:
-            raise ValueError("delta must be nonnegative")
+            raise InvalidArgument("delta must be nonnegative")
         if delta == 0:
-            dim = math.comb(p.n, q)
             return np.zeros((dim, dim), dtype=complex)
     else:
         rep = tail_decay(p.levi, q)
@@ -321,7 +325,7 @@ def density_diagonal(p: CurvaturePoint, q: int, t: float, delta: float | None = 
     b = basis(p.n, q)
 
     def f(etas):
-        return np.stack([_eta_node(p, q, t, e, b.indices)[3] for e in etas])
+        return np.stack([_eta_node(p, q, t, e)[3] for e in etas])
 
     total = _eta_integral(p, q, t, delta, f, 1e-9)
     return FormEndomorphism(b, total * (2.0 * math.pi) ** (-(p.n + 1)))

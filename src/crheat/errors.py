@@ -2,11 +2,18 @@
 
 Every failure mode that callers are expected to handle gets its own class;
 plain ValueError/RuntimeError are reserved for genuine programming errors.
+InvalidArgument (a bad t, delta, weight or point dimension) also derives
+from ValueError, so callers that catch ValueError keep working.
 """
 
 
 class CrheatError(Exception):
     """Base class for all library-specific errors."""
+
+
+class InvalidArgument(CrheatError, ValueError):
+    """An argument is out of its domain: t <= 0, delta < 0, weight <= 0, or a
+    point or batch whose dimension or length disagrees with the data."""
 
 
 class NonHermitian(CrheatError):

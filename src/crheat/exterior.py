@@ -9,6 +9,7 @@ powers).  The multi-index basis is lexicographic everywhere in the library.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -26,6 +27,19 @@ class MultiIndexBasis:
     q: int
     indices: tuple
 
+    @cached_property
+    def membership(self) -> np.ndarray:
+        """Read-only (dim, n) boolean matrix: entry (r, j) says j+1 is in indices[r].
+
+        As a 0/1 matrix it maps n values to their subset sums over each
+        multi-index.
+        """
+        inside = np.zeros((len(self.indices), self.n), dtype=bool)
+        for r, J in enumerate(self.indices):
+            inside[r, [j - 1 for j in J]] = True
+        inside.flags.writeable = False
+        return inside
+
 
 @dataclass(frozen=True)
 class FormEndomorphism:
@@ -39,16 +53,15 @@ class FormEndomorphism:
         return complex(np.trace(self.matrix))
 
 
+@lru_cache(maxsize=256)
 def basis(n: int, q: int) -> MultiIndexBasis:
-    """The ordered multi-index basis of (0,q) components in dimension n."""
+    """The ordered multi-index basis of (0,q) components in dimension n.
+
+    Memoized: every caller asking for (n, q) shares one immutable basis.
+    """
     if n < 1 or not 0 <= q <= n:
         raise DegreeOutOfRange(f"degree q={q} outside 0..{n} (n={n})")
     return MultiIndexBasis(n, q, tuple(combinations(range(1, n + 1), q)))
-
-
-def subset_sums(values: np.ndarray, indices) -> np.ndarray:
-    """Sum of values[j-1] over each multi-index J (empty sum is 0)."""
-    return np.array([sum(values[j - 1] for j in J) for J in indices], dtype=float)
 
 
 def omega_endomorphism(M, q: int) -> FormEndomorphism:
@@ -114,7 +127,7 @@ def exp_endo(M, q: int, t: float) -> FormEndomorphism:
     path_a = expm(-t * omega.matrix)
     es = eig_hermitian(Mm)
     E = exterior_power_matrix(es.unitary, q)
-    sums = subset_sums(es.eigenvalues, omega.basis.indices)
+    sums = omega.basis.membership @ es.eigenvalues
     with np.errstate(over="ignore"):
         d = np.exp(-t * sums)
     path_b = (E * d) @ E.conj().T

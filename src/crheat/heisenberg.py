@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import CurvaturePoint, _eta_integral, _eta_node
-from .errors import NonFinite
+from .density import CurvaturePoint, _check_time, _eta_integral, _eta_node
+from .errors import InvalidArgument, NonFinite
 from .exterior import FormEndomorphism, basis
-from .hermitian import as_hermitian, bose_ratio, eig_hermitian, tanh_ratio
+from .hermitian import as_hermitian, bose_pair, eig_hermitian, tanh_ratio
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,10 @@ class KernelValue:
         return self.endo.trace
 
 
-def _split_complex(x) -> np.ndarray:
+def _split_complex(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size % 2 != 0:
-        raise ValueError("expected a flat real vector of even length")
+    if x.ndim != 1 or x.size != 2 * n:
+        raise InvalidArgument(f"expected a flat real vector of length 2n = {2 * n}")
     return x[0::2] + 1j * x[1::2]
 
 
@@ -76,61 +76,91 @@ def mehler_kernel(A, t: float, x, y) -> complex:
     factor 1/(2t)); for A = 0, n = 1 this reduces to the Euclidean kernel
     exp(-|z-w|^2/(2t))/(4*pi*t) of mass one under dv = 2^n dx.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     Am = as_hermitian(A)
     n = Am.shape[0]
     es = eig_hermitian(Am)
     mu = es.eigenvalues
-    ze = es.unitary.conj().T @ _split_complex(x)
-    we = es.unitary.conj().T @ _split_complex(y)
+    ze = es.unitary.conj().T @ _split_complex(x, n)
+    we = es.unitary.conj().T @ _split_complex(y, n)
     f = tanh_ratio(mu, 2.0 * t)
-    gp = bose_ratio(mu, 2.0 * t)
-    gm = bose_ratio(-mu, 2.0 * t)
+    gp, gm = bose_pair(mu, 2.0 * t)
     pref = float(np.prod(gp))
     cross = np.sum(we.conj() * gp * ze) + np.conj(np.sum(we.conj() * gm * ze))
     expo = -np.sum(f * (np.abs(ze) ** 2 + np.abs(we) ** 2)) + cross
     return (2.0 * math.pi) ** (-n) * pref * complex(np.exp(expo))
 
 
-def _gaussian_factor(mu, U, t, z, w, bose_plus, bose_minus):
-    """exp of the Mehler quadratic forms at time t in the eigenframe (mu, U).
+# (node, point) pairs per block of _fiber_values.  A block's temporaries
+# have about this many entries (times n), so peak memory stays near the
+# size of the output however many nodes a round has and however many
+# points it serves, while a single point gets whole rounds in one block.
+_BLOCK_PAIRS = 4096
 
-    bose_plus and bose_minus are bose_ratio(+mu, t) and bose_ratio(-mu, t).
-    w may carry a leading batch axis.  The real part of the exponent is
-    -(z-w)^H f (z-w) <= 0, so the factor never exceeds 1 in modulus and
-    equals 1 at z = w.
+
+def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoint: bool):
+    """Fiber heat kernels at every eta node, from z to every point of ws.
+
+    Entry [k, i] of the (len(etas), len(ws), dim, dim) result is
+
+        exp(i*gaps[i]*etas[k]) * (2*pi)^-n * g_k(z, ws[i]) * core_k
+
+    with core_k the paired endomorphism of the node (see _eta_node) and
+    g_k the exponential of the Mehler quadratic forms at time t in the
+    eigenframe (mu, U) of M(etas[k]).  With ze = U^H z, we = U^H w,
+    b+- = bose(+-mu, t) and f = (b+ + b-)/2 = tanh_ratio(mu, t), the forms
+
+        - f.|ze|^2 - f.|we|^2 + conj(we).(b+ ze) + conj(conj(we).(b- ze))
+
+    equal -f.|ze - we|^2 + i (b+ - b-).Im(conj(we) ze), which is how they
+    are evaluated.  The real part is <= 0, so |g| <= 1, and g = 1 at z = w.
+    adjoint conjugates g; gaps None leaves out the phase.  Nodes are
+    evaluated one at a time; the Gaussian factors and phases of a block
+    of nodes (_BLOCK_PAIRS node-point pairs) are built together as
+    batched matrix products, with the phase folded into the exponent, so
+    each (node, point) pair costs one complex exponential.
     """
-    ze = U.conj().T @ z
-    we = np.tensordot(np.asarray(w, dtype=complex), U.conj(), axes=(-1, 0))
-    f = tanh_ratio(mu, t)
-    cross = np.sum(we.conj() * (bose_plus * ze), axis=-1) + np.conj(
-        np.sum(we.conj() * (bose_minus * ze), axis=-1)
-    )
-    expo = -np.sum(f * np.abs(ze) ** 2) - np.sum(f * np.abs(we) ** 2, axis=-1) + cross
-    return np.exp(expo)
-
-
-def _fiber_matrix(p: CurvaturePoint, q: int, t: float, eta: float, indices, z, w):
-    """Kernel matrix of the frequency-eta fiber operator at (z, w).
-
-    Equal to [scalar Mehler factor] * exp(-t*omega(M)) but assembled from
-    the paired per-component scalars so that large t never multiplies an
-    overflowing endomorphism by a vanishing prefactor.
-    """
-    es, bose_plus, bose_minus, core = _eta_node(p, q, t, eta, indices)
-    g = _gaussian_factor(es.eigenvalues, es.unitary, t, z, w, bose_plus, bose_minus)
-    return (2.0 * math.pi) ** (-p.n) * g * core
+    etas = np.asarray(etas, dtype=float)
+    n, dim = p.n, math.comb(p.n, q)
+    scale = (2.0 * math.pi) ** (-n)
+    out = np.empty((len(etas), len(ws), dim, dim), dtype=complex)
+    step = max(1, _BLOCK_PAIRS // max(1, len(ws)))
+    for lo in range(0, len(etas), step):
+        block = etas[lo : lo + step]
+        B = len(block)
+        U = np.empty((B, n, n), dtype=complex)
+        bp, bm = np.empty((B, n)), np.empty((B, n))
+        core = np.empty((B, dim, dim), dtype=complex)
+        for k, eta in enumerate(block):
+            es, bp[k], bm[k], core[k] = _eta_node(p, q, t, eta)
+            U[k] = es.unitary
+        Uc = U.conj()
+        ze = z @ Uc
+        we = ws @ Uc
+        d = ze[:, None, :] - we
+        f = (bp + bm) / 2.0
+        re = (d.real**2 + d.imag**2) @ -f[:, :, None]
+        # (b+ - b-).Im(conj(we) ze) = Im(we . conj(ze (b- - b+))); the
+        # adjoint conjugates g, which flips the sign of the imaginary part.
+        v = bp - bm if adjoint else bm - bp
+        im = (we @ (ze * v).conj()[:, :, None]).imag
+        if gaps is not None:
+            im = im + (gaps[None, :] * block[:, None])[:, :, None]
+        g = np.exp(re + 1j * im)
+        np.multiply(g[:, :, :, None], (core * scale)[:, None], out=out[lo : lo + B])
+    return out
 
 
 def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> KernelValue:
     """Heat kernel of the frequency-eta fiber operator between z and w in C^n."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     b = basis(p.n, q)
-    z = np.asarray(z, dtype=complex).reshape(p.n)
-    w = np.asarray(w, dtype=complex).reshape(p.n)
-    return KernelValue(FormEndomorphism(b, _fiber_matrix(p, q, t, eta, b.indices, z, w)))
+    z = np.asarray(z, dtype=complex).ravel()
+    w = np.asarray(w, dtype=complex).ravel()
+    if z.size != p.n or w.size != p.n:
+        raise InvalidArgument("point dimension does not match the curvature data")
+    values = _fiber_values(p, q, t, [eta], z, w[None], None, False)
+    return KernelValue(FormEndomorphism(b, values[0, 0]))
 
 
 def _quadratic_forms(mat, z, w):
@@ -176,16 +206,15 @@ def heisenberg_heat_kernel(
     Gaussian factor has modulus at most one.
     """
     if x.n != p.n or y.n != p.n:
-        raise ValueError("point dimension does not match the curvature data")
+        raise InvalidArgument("point dimension does not match the curvature data")
     b = basis(p.n, q)
     z = np.asarray(x.z, dtype=complex)
     w = np.asarray(y.z, dtype=complex)
     theta_gap = x.theta - y.theta
+    gaps = np.array([theta_gap])
 
     def f(etas):
-        phase = np.exp(1j * theta_gap * np.asarray(etas))
-        vals = np.stack([_fiber_matrix(p, q, t, e, b.indices, z, w) for e in etas])
-        return phase[:, None, None] * vals
+        return _fiber_values(p, q, t, etas, z, w[None], gaps, False)[:, 0]
 
     lz, lw = _quadratic_forms(p.levi.mat, z, w)
     cz, cw = _quadratic_forms(p.curvature.mat, z, w)
@@ -216,11 +245,13 @@ def heisenberg_kernel_batch(
     grid convolution tests affordable.  Returns an array of shape
     (len(zs), dim, dim).
     """
-    b = basis(p.n, q)
-    zs = np.asarray(zs, dtype=complex).reshape(-1, p.n)
+    zs = np.asarray(zs, dtype=complex)
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    if x.n != p.n or zs.size % p.n:
+        raise InvalidArgument("point dimension does not match the curvature data")
+    zs = zs.reshape(-1, p.n)
     if len(zs) != len(thetas):
-        raise ValueError("zs and thetas length mismatch")
+        raise InvalidArgument("zs and thetas length mismatch")
     z = np.asarray(x.z, dtype=complex)
     gaps = (thetas - x.theta) if adjoint else (x.theta - thetas)
     max_gap = float(np.max(np.abs(gaps))) if len(gaps) else 0.0
@@ -228,16 +259,7 @@ def heisenberg_kernel_batch(
     scale = (2.0 * math.pi) ** (-p.n)
 
     def f(etas):
-        etas = np.asarray(etas)
-        out = np.empty((len(etas), len(zs), len(b.indices), len(b.indices)), dtype=complex)
-        for k, e in enumerate(etas):
-            es, bose_plus, bose_minus, core = _eta_node(p, q, t, e, b.indices)
-            g = _gaussian_factor(es.eigenvalues, es.unitary, t, z, zs, bose_plus, bose_minus)
-            if adjoint:
-                g = np.conj(g)
-            phase = np.exp(1j * gaps * float(e))
-            out[k] = (phase * g)[:, None, None] * (core * scale)
-        return out
+        return _fiber_values(p, q, t, etas, z, zs, gaps, adjoint)
 
     lz, lw = _quadratic_forms(p.levi.mat, z, zs)
     cz, cw = _quadratic_forms(p.curvature.mat, z, zs)

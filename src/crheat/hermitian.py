@@ -51,6 +51,21 @@ class HermitianForm:
         self.n = a.shape[0]
         self.mat = m
 
+    @classmethod
+    def trusted(cls, mat: np.ndarray) -> "HermitianForm":
+        """Wrap a finite square array that is exactly Hermitian, without checks.
+
+        For arrays the library builds from validated forms, such as the
+        pencil C - 2*eta*L of two symmetrized forms (conjugation and real
+        scaling keep exact symmetry), where validating again would only
+        return the same array.
+        """
+        form = object.__new__(cls)
+        mat.flags.writeable = False
+        form.n = mat.shape[0]
+        form.mat = mat
+        return form
+
     def __repr__(self):
         return f"HermitianForm(n={self.n})"
 
@@ -94,20 +109,37 @@ def eig_hermitian(H) -> EigenSystem:
 # ---------------------------------------------------------------------------
 # Guarded scalar functions.  All are evaluated at x = t*mu and carry a
 # removable singularity at x = 0; below |x| = 1e-4 they switch to series
-# through order 6 to avoid cancellation.  Every branch is computed on the
-# whole array with floating-point warnings silenced, then np.where picks
-# the branch each element needs; the branches not picked may overflow or
-# divide by zero without effect.
+# through order 6 to avoid cancellation.  Branches are computed on the
+# whole array and np.where picks the branch each element needs; where a
+# branch not picked may overflow or divide by zero, floating-point
+# warnings are silenced.
 
 
-def _bose_of_x(x: np.ndarray) -> np.ndarray:
-    """x / (1 - exp(-x)), stable on the whole real line."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Bernoulli series: 1 + x/2 + x^2/12 - x^4/720 + x^6/30240
-        series = 1.0 + x / 2.0 + x**2 / 12.0 - x**4 / 720.0 + x**6 / 30240.0
-        pos = x / (-np.expm1(-x))
-        neg = x * np.exp(x) / np.expm1(x)
-    return np.where(np.abs(x) < _SERIES_CUTOFF, series, np.where(x > 0, pos, neg))
+def _bose_pair_of_x(x: np.ndarray):
+    """(x / (1 - exp(-x)), -x / (1 - exp(x))), stable on the whole real line.
+
+    Both come from one expm1 and one exp at -|x|: the growing member is
+    |x| / (1 - exp(-|x|)) and the decaying one |x| exp(-|x|) / (1 - exp(-|x|)),
+    so neither exponential can overflow.  The closed forms are taken at
+    max(|x|, 1e-4), which leaves every element they serve unchanged and
+    keeps 0/0 out; the series is only built when some element needs it.
+    """
+    s = np.abs(x)
+    small = s < _SERIES_CUTOFF
+    s = np.maximum(s, _SERIES_CUTOFF)
+    neg_s = -s
+    em1 = np.expm1(neg_s)
+    grow = neg_s / em1
+    decay = neg_s * np.exp(neg_s) / em1
+    up = x > 0
+    plus, minus = np.where(up, grow, decay), np.where(up, decay, grow)
+    if small.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Bernoulli series: 1 +- x/2 + x^2/12 - x^4/720 + x^6/30240
+            half, c2, c4, c6 = x / 2.0, x**2 / 12.0, x**4 / 720.0, x**6 / 30240.0
+            plus = np.where(small, 1.0 + half + c2 - c4 + c6, plus)
+            minus = np.where(small, 1.0 - half + c2 - c4 + c6, minus)
+    return plus, minus
 
 
 def _as_float_array(mu):
@@ -115,11 +147,17 @@ def _as_float_array(mu):
     return a, a.ndim == 0
 
 
+def bose_pair(mu, t: float):
+    """(bose_ratio(mu, t), bose_ratio(-mu, t)) from one pass over t*mu."""
+    x, scalar = _as_float_array(mu)
+    plus, minus = _bose_pair_of_x(t * x)
+    plus, minus = plus / t, minus / t
+    return (float(plus), float(minus)) if scalar else (plus, minus)
+
+
 def bose_ratio(mu, t: float):
     """mu / (1 - exp(-t*mu)) with the mu = 0 limit 1/t."""
-    x, scalar = _as_float_array(mu)
-    val = _bose_of_x(t * x) / t
-    return float(val) if scalar else val
+    return bose_pair(mu, t)[0]
 
 
 def tanh_ratio(mu, t: float):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import CurvaturePoint, curvature_point, density_diagonal, y_condition
+from .density import curvature_point, density_diagonal, y_condition
 from .errors import DegreeOutOfRange, DivergentIntegral, EmptyDescriptor, MixedDimension
 from .hermitian import eig_hermitian, pencil_det_poly
 

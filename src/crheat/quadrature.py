@@ -94,16 +94,17 @@ def integrate_adaptive(
         if not np.isfinite(vals).all():
             raise NonFinite("integrand returned a NaN or infinite value")
         vals = vals.reshape((len(panel_list), 15) + vals.shape[1:])
-        half = np.array([0.5 * (hi - lo) for lo, hi in panel_list])
         shape_tail = (1,) * (vals.ndim - 2)
-        wk = GK_WEIGHTS.reshape((1, 15) + shape_tail)
-        wg = G7_WEIGHTS.reshape((1, 15) + shape_tail)
-        ik = (vals * wk).sum(axis=1) * half.reshape((-1,) + shape_tail)
-        ig = (vals * wg).sum(axis=1) * half.reshape((-1,) + shape_tail)
-        errs = [
-            float(np.max(np.abs(ik[i] - ig[i]))) for i in range(len(panel_list))
-        ]
-        return list(ik), errs
+        wk = GK_WEIGHTS.reshape((15,) + shape_tail)
+        wg = G7_WEIGHTS.reshape((15,) + shape_tail)
+        # Panel by panel, so no temporary as large as vals is ever built.
+        ik, errs = [], []
+        for v, (lo, hi) in zip(vals, panel_list):
+            half = 0.5 * (hi - lo)
+            k = (v * wk).sum(axis=0) * half
+            ik.append(k)
+            errs.append(float(np.max(np.abs(k - (v * wg).sum(axis=0) * half))))
+        return ik, errs
 
     values, errors = rule(panels)
     total_width = b - a

@@ -20,10 +20,9 @@ from .density import (
     density_integrand,
     tail_certificate,
     tail_decay,
-    y_condition,
 )
 from .exterior import exp_endo, exterior_power_matrix
-from .heisenberg import HeisenbergPoint, boxeta_kernel, heisenberg_heat_kernel, mehler_kernel
+from .heisenberg import HeisenbergPoint, heisenberg_heat_kernel, mehler_kernel
 from .hermitian import bose_ratio, eig_hermitian, pencil_det_poly, pencil_real_roots, tanh_ratio
 from .morse import Divergent, ManifoldDescriptor, heat_trace, morse_global, morse_local, rx_partition
 

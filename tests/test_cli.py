@@ -18,7 +18,7 @@ import pytest
 import crheat
 from crheat.cli import MAX_ETA_SAMPLES, _eta_grid, main
 from crheat.density import curvature_point, density_diagonal
-from crheat.errors import FileFormatError, NonHermitian
+from crheat.errors import FileFormatError, InvalidArgument, NonHermitian
 from crheat.files import (
     format_descriptor,
     format_point,
@@ -377,6 +377,16 @@ def test_non_positive_weight_exits_2(capsys, tmp_path):
         )
         assert code == 2 and out == ""
         assert "'weight' must be positive" in err and "Traceback" not in err
+
+
+def test_invalid_argument_exits_2(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise InvalidArgument("t must be positive")
+
+    monkeypatch.setattr(crheat.cli, "density_diagonal", refuse)
+    code, out, err = run_cli(capsys, "density", "--input", POINT_CONVEX, "--q", "0", "--t", "1")
+    assert code == 2 and out == ""
+    assert err == "error: t must be positive\n"
 
 
 def test_eta_grid_sample_count_is_bounded(capsys):

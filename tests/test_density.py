@@ -17,13 +17,22 @@ from crheat.density import (
     y_condition,
 )
 from crheat.errors import (
+    CrheatError,
     DegreeOutOfRange,
     DivergentIntegral,
+    InvalidArgument,
     NonFinite,
     NonRigidTruncation,
     OnSignatureBoundary,
 )
 from crheat.exterior import exp_endo
+from crheat.heisenberg import (
+    HeisenbergPoint,
+    boxeta_kernel,
+    heisenberg_heat_kernel,
+    heisenberg_kernel_batch,
+    mehler_kernel,
+)
 from crheat.hermitian import bose_ratio
 from crheat.oracles import reference_quadrature
 
@@ -212,6 +221,36 @@ def test_diagonal_input_validation():
         density_diagonal(P_INDEF, 1, -1.0)
     with pytest.raises(ValueError):
         density_diagonal(P_INDEF, 1, 1.0, delta=-0.5)
+
+
+def test_argument_errors_are_typed():
+    # InvalidArgument is a CrheatError (CLI exit 2) and still a ValueError
+    assert issubclass(InvalidArgument, CrheatError) and issubclass(InvalidArgument, ValueError)
+    p_one = curvature_point([[1.0]], [[1.0]])
+    one, two = HeisenbergPoint((0j,), 0.0), HeisenbergPoint((0j, 0j), 0.0)
+    cases = {
+        "density t": lambda: density_diagonal(P_INDEF, 1, 0.0, delta=1.0),
+        "density delta": lambda: density_diagonal(P_INDEF, 1, 1.0, delta=-0.5),
+        "integrand t": lambda: density_integrand(P_INDEF, 1, -1.0, 0.0),
+        "weight": lambda: curvature_point([[1.0]], [[0.5]], weight=0.0),
+        "kernel t": lambda: heisenberg_heat_kernel(p_one, 0, -1.0, one, one, delta=1.0),
+        "kernel delta": lambda: heisenberg_heat_kernel(p_one, 0, 1.0, one, one, delta=-1.0),
+        "kernel dimension": lambda: heisenberg_heat_kernel(P_INDEF, 0, 1.0, one, one, delta=1.0),
+        "batch delta": lambda: heisenberg_kernel_batch(p_one, 0, 1.0, one, [[0j]], [0.0], -1.0),
+        "batch dimension": lambda: heisenberg_kernel_batch(P_INDEF, 0, 1.0, one, [[0j]], [0.0], 1.0),
+        "batch zs size": lambda: heisenberg_kernel_batch(P_INDEF, 0, 1.0, two, [0j] * 3, [0.0], 1.0),
+        "batch lengths": lambda: heisenberg_kernel_batch(p_one, 0, 1.0, one, [[0j], [1j]], [0.0], 1.0),
+        "boxeta t": lambda: boxeta_kernel(p_one, 0.0, 0, 0.0, [0j], [0j]),
+        "boxeta dimension": lambda: boxeta_kernel(p_one, 0.0, 0, 1.0, [0j, 0j], [0j]),
+        "mehler t": lambda: mehler_kernel([[1.0]], -1.0, [0.0, 0.0], [0.0, 0.0]),
+        "mehler dimension": lambda: mehler_kernel([[1.0]], 1.0, [0.0, 0.0, 0.0, 0.0], [0.0, 0.0]),
+    }
+    for name, case in cases.items():
+        try:
+            case()
+        except InvalidArgument:
+            continue
+        pytest.fail(f"{name}: no InvalidArgument raised")
 
 
 def test_unclosed_tail_certificate_is_typed(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crheat.errors import DegreeOutOfRange
-from crheat.exterior import basis, exp_endo, exterior_power_matrix, omega_endomorphism, subset_sums
+from crheat.exterior import basis, exp_endo, exterior_power_matrix, omega_endomorphism
 from crheat.hermitian import eig_hermitian
 
 
@@ -41,10 +41,19 @@ def test_basis_degree_range():
         basis(3, -1)
 
 
-def test_subset_sums_matches_manual():
+def test_membership_subset_sums_match_manual():
     vals = np.array([1.0, 10.0, 100.0])
-    idx = basis(3, 2).indices
-    assert np.allclose(subset_sums(vals, idx), [11.0, 101.0, 110.0])
+    b = basis(3, 2)
+    assert np.array_equal(b.membership @ vals, [11.0, 101.0, 110.0])
+    assert basis(3, 2) is b and not b.membership.flags.writeable
+    rng = np.random.default_rng(4)
+    for n in range(1, 7):
+        vals = rng.standard_normal(n)
+        for q in range(n + 1):
+            b = basis(n, q)
+            want = [sum(vals[j - 1] for j in J) for J in b.indices]
+            assert b.membership.shape == (len(b.indices), n)
+            assert np.allclose(b.membership @ vals, want, rtol=1e-15, atol=1e-15)
 
 
 def test_omega_diagonal_anchor():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from crheat import heisenberg
 from crheat.density import curvature_point, density_diagonal, density_integrand
 from crheat.errors import DivergentIntegral, NonFinite
 from crheat.heisenberg import (
@@ -80,6 +81,20 @@ def test_boxeta_origin_matches_density_integrand():
     kv = boxeta_kernel(P_INDEF, 0.3, 1, 1.2, [0, 0], [0, 0])
     di = density_integrand(P_INDEF, 1, 1.2, 0.3)
     assert np.max(np.abs(kv.matrix - (2 * math.pi) ** -2 * di.matrix)) < 1e-14
+
+
+def test_boxeta_scalar_degree_is_mehler_at_half_time():
+    # at q = 0 the fiber kernel is Mehler's kernel of M(eta) at time t/2
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            p = curvature_point(rand_herm(rng, n), rand_herm(rng, n))
+            eta = float(rng.uniform(-2, 2))
+            t = float(rng.uniform(0.2, 3.0))
+            x, y = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
+            got = boxeta_kernel(p, eta, 0, t, x[0::2] + 1j * x[1::2], y[0::2] + 1j * y[1::2])
+            want = mehler_kernel(p.curvature.mat - 2 * eta * p.levi.mat, t / 2, x, y)
+            assert abs(got.matrix[0, 0] - want) <= 1e-12 * abs(want)
 
 
 def test_boxeta_coincident_positive():
@@ -196,6 +211,33 @@ def test_batch_matches_scalar_api():
         yp = HeisenbergPoint(tuple(zs[i]), float(ths[i]))
         ref_f = heisenberg_heat_kernel(p, 0, 0.7, xb, yp, delta=5.0).matrix
         ref_a = heisenberg_heat_kernel(p, 0, 0.7, yp, xb, delta=5.0).matrix
+        assert np.max(np.abs(fwd[i] - ref_f)) < 1e-14
+        assert np.max(np.abs(adj[i] - ref_a)) < 1e-14
+
+
+def test_batch_rounds_spanning_node_blocks_match_pointwise(monkeypatch):
+    # with this many points a block holds a few dozen nodes, and the wide
+    # theta spread caps the panel width, so one round spans several blocks
+    rounds = []
+    fiber_values = heisenberg._fiber_values
+
+    def counted(p, q, t, etas, z, ws, *rest):
+        rounds.append(len(etas) * len(ws))
+        return fiber_values(p, q, t, etas, z, ws, *rest)
+
+    monkeypatch.setattr(heisenberg, "_fiber_values", counted)
+    rng = np.random.default_rng(27)
+    p = curvature_point(np.diag([0.6, -0.2]), np.diag([1.0, 0.7]))
+    xb = HeisenbergPoint((0.2 - 0.1j, 0.3j), 0.5)
+    zs = 0.5 * (rng.standard_normal((120, 2)) + 1j * rng.standard_normal((120, 2)))
+    ths = rng.uniform(-3, 3, 120)
+    fwd = heisenberg_kernel_batch(p, 1, 0.6, xb, zs, ths, delta=4.0)
+    adj = heisenberg_kernel_batch(p, 1, 0.6, xb, zs, ths, delta=4.0, adjoint=True)
+    assert max(rounds) > 3 * heisenberg._BLOCK_PAIRS
+    for i in (0, 31, 58, 77, 119):
+        yp = HeisenbergPoint(tuple(zs[i]), float(ths[i]))
+        ref_f = heisenberg_heat_kernel(p, 1, 0.6, xb, yp, delta=4.0).matrix
+        ref_a = heisenberg_heat_kernel(p, 1, 0.6, yp, xb, delta=4.0).matrix
         assert np.max(np.abs(fwd[i] - ref_f)) < 1e-14
         assert np.max(np.abs(adj[i] - ref_a)) < 1e-14
 

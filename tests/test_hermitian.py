@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crheat.errors import NoConvergence, NonFinite, NonHermitian, ZeroPolynomial
 from crheat.hermitian import (
     HermitianForm,
+    bose_pair,
     bose_ratio,
     eig_hermitian,
     pencil_det_poly,
@@ -220,6 +221,28 @@ def test_scalars_match_masked_reference(mu, t):
     assert np.all(np.isfinite(bose)) and np.all(np.isfinite(tanh))
     np.testing.assert_allclose(bose, _ref_bose_of_x(t * mu) / t, rtol=4e-16, atol=0)
     np.testing.assert_allclose(tanh, _ref_tanh_of_u(t * mu / 2.0) / t, rtol=4e-16, atol=0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@given(
+    st.lists(st.one_of(_WIDE, _NEAR_CUT, st.sampled_from([0.0, -0.0, 1e-4, -1e-4])), min_size=1, max_size=8),
+    st.sampled_from([1.0, 0.5, 2.0, 0.37]),
+)
+@settings(max_examples=200, deadline=None)
+def test_bose_pair_is_two_bose_ratios_bitwise(mu, t):
+    # one fused pass over t*mu gives exactly what two separate calls give,
+    # and what the masked reference formulas give
+    mu = np.array(mu)
+    plus, minus = bose_pair(mu, t)
+    assert _bits(plus) == _bits(bose_ratio(mu, t))
+    assert _bits(minus) == _bits(bose_ratio(-mu, t))
+    assert _bits(plus) == _bits(_ref_bose_of_x(t * mu) / t)
+    assert _bits(minus) == _bits(_ref_bose_of_x(t * -mu) / t)
+    one = bose_pair(float(mu[0]), t)
+    assert one == (float(plus[0]), float(minus[0]))
 
 
 def test_scalars_accept_python_floats():
