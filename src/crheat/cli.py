@@ -9,6 +9,7 @@ round-trip form and rows follow a fixed order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -219,7 +220,9 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser():
+    """The crheat argument parser, built once per process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="crheat",
         description="Model heat kernels and Morse bounds for curvature pencils.",
@@ -234,7 +237,6 @@ def _build_parser():
     d.add_argument("--eta-grid", type=_eta_grid, default=None, metavar="A:B:STEP",
                    help="also sample the integrand trace on this eta grid")
     d.add_argument("--format", choices=("csv", "json"), default="csv")
-    d.set_defaults(fn=cmd_density)
 
     k = sub.add_parser("kernel", help="heat kernel between two group points")
     k.add_argument("--input", required=True, help="point file (JSON)")
@@ -245,7 +247,6 @@ def _build_parser():
     k.add_argument("--y", required=True, metavar="Z,THETA")
     k.add_argument("--delta", type=_delta, default=None)
     k.add_argument("--format", choices=("csv", "json"), default="csv")
-    k.set_defaults(fn=cmd_kernel)
 
     m = sub.add_parser("morse", help="weak and strong Morse bounds for a descriptor")
     m.add_argument("--input", required=True, help="descriptor file (JSON)")
@@ -255,14 +256,12 @@ def _build_parser():
                    default=None, metavar="LIST",
                    help="comma-separated times for heat-trace rows")
     m.add_argument("--format", choices=("csv", "json"), default="csv")
-    m.set_defaults(fn=cmd_morse)
 
     v = sub.add_parser("validate", help="run the library self-check suites")
     v.add_argument("--suite", required=True,
                    choices=("hermitian", "exterior", "density", "mehler",
                             "heisenberg", "morse", "all"))
     v.add_argument("--format", choices=("text", "json"), default="text")
-    v.set_defaults(fn=cmd_validate)
     return ap
 
 
@@ -287,17 +286,21 @@ def _join_signed_values(argv):
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
+    args = _build_parser().parse_args(
+        _join_signed_values(sys.argv[1:] if argv is None else list(argv))
+    )
+    # Looked up at each call, not kept in the cached parser, so a wrapped or
+    # patched cmd_* function takes effect.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return handler(args)
     except DivergentIntegral as e:
         sys.stderr.write(f"divergent integral (toward {e.direction}): {e}\n")
         return 3
     except CrheatError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -190,10 +190,12 @@ def _eta_node(p: CurvaturePoint, q: int, t: float, eta: float):
 def density_integrand(p: CurvaturePoint, q: int, t: float, eta: float) -> FormEndomorphism:
     """det M/det(1-exp(-tM)) * exp(-t*omega(M)) at M = curvature - 2*eta*levi.
 
-    Finite for every eta, including pencil roots (removable singularities
-    are guarded at the scalar level).
+    Finite for every finite eta, including pencil roots (removable
+    singularities are guarded at the scalar level); NonFinite otherwise.
     """
     _check_time(t)
+    if not math.isfinite(eta):
+        raise NonFinite("eta must be finite")
     return FormEndomorphism(basis(p.n, q), _eta_node(p, q, t, eta)[3])
 
 

@@ -1,9 +1,10 @@
 """Exception types shared across the library.
 
-Every failure mode that callers are expected to handle gets its own class;
-plain ValueError/RuntimeError are reserved for genuine programming errors.
-InvalidArgument (a bad t, delta, weight or point dimension) also derives
-from ValueError, so callers that catch ValueError keep working.
+Every failure mode that callers are expected to handle gets its own class,
+and every raise in the library modules (the oracles, validate and the
+CLI's argparse type functions apart) raises one of them.  InvalidArgument
+(a bad t, delta, weight or point dimension) also derives from ValueError,
+so callers that catch ValueError keep working.
 """
 
 
@@ -12,12 +13,15 @@ class CrheatError(Exception):
 
 
 class InvalidArgument(CrheatError, ValueError):
-    """An argument is out of its domain: t <= 0, delta < 0, weight <= 0, or a
-    point or batch whose dimension or length disagrees with the data."""
+    """An argument is out of its domain: t <= 0, delta < 0, weight <= 0, a
+    reversed integration interval, or a point or batch whose dimension or
+    length disagrees with the data."""
 
 
 class NonHermitian(CrheatError):
-    """Input matrix violates the Hermitian symmetry tolerance."""
+    """Input matrix violates the Hermitian symmetry tolerance, or a number that
+    Hermitian symmetry makes real (a pencil determinant coefficient, a
+    density trace) has a non-negligible imaginary part."""
 
 
 class NoConvergence(CrheatError):

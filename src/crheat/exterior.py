@@ -40,6 +40,13 @@ class MultiIndexBasis:
         inside.flags.writeable = False
         return inside
 
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Read-only (dim, q) integer matrix of the multi-indices, 0-based."""
+        idx = np.array(self.indices, dtype=np.intp).reshape(len(self.indices), self.q) - 1
+        idx.flags.writeable = False
+        return idx
+
 
 @dataclass(frozen=True)
 class FormEndomorphism:
@@ -101,13 +108,13 @@ def exterior_power_matrix(U: np.ndarray, q: int) -> np.ndarray:
 
     Entry (r, c) is det U[J_r, J_c].  All C(n,q)^2 minors are gathered
     into one (dim, dim, q, q) stack and taken with a single determinant
-    call.
+    call; the index array is cached on the memoized basis.
     """
     n = U.shape[0]
     b = basis(n, q)
     if q == 0:
         return np.ones((1, 1), dtype=complex)
-    idx = np.array(b.indices) - 1
+    idx = b.positions
     minors = U[idx[:, None, :, None], idx[None, :, None, :]]
     return np.linalg.det(minors.astype(complex, copy=False))
 

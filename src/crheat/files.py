@@ -112,14 +112,20 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
     return ManifoldDescriptor(name, tuple(points))
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"not UTF-8 text: byte {e.start}: {e.reason}") from None
+
+
 def load_point(path) -> CurvaturePoint:
-    with open(path, encoding="utf-8") as f:
-        return parse_point(f.read())
+    return parse_point(_read_text(path))
 
 
 def load_descriptor(path) -> ManifoldDescriptor:
-    with open(path, encoding="utf-8") as f:
-        return parse_descriptor(f.read())
+    return parse_descriptor(_read_text(path))
 
 
 def _matrix_text(mat, pad: str) -> str:

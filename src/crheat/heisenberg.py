@@ -58,6 +58,8 @@ def _split_complex(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != 2 * n:
         raise InvalidArgument(f"expected a flat real vector of length 2n = {2 * n}")
+    if not np.isfinite(x).all():
+        raise NonFinite("points must be finite")
     return x[0::2] + 1j * x[1::2]
 
 
@@ -79,10 +81,11 @@ def mehler_kernel(A, t: float, x, y) -> complex:
     _check_time(t)
     Am = as_hermitian(A)
     n = Am.shape[0]
+    zx, zy = _split_complex(x, n), _split_complex(y, n)
     es = eig_hermitian(Am)
     mu = es.eigenvalues
-    ze = es.unitary.conj().T @ _split_complex(x, n)
-    we = es.unitary.conj().T @ _split_complex(y, n)
+    ze = es.unitary.conj().T @ zx
+    we = es.unitary.conj().T @ zy
     f = tanh_ratio(mu, 2.0 * t)
     gp, gm = bose_pair(mu, 2.0 * t)
     pref = float(np.prod(gp))
@@ -98,31 +101,56 @@ def mehler_kernel(A, t: float, x, y) -> complex:
 _BLOCK_PAIRS = 4096
 
 
-def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoint: bool):
-    """Fiber heat kernels at every eta node, from z to every point of ws.
+def _gaussian_block(z, ws, U, bp, bm, core, phase, adjoint: bool, out):
+    """Fiber heat kernels of a block of nodes, from their node arrays.
 
-    Entry [k, i] of the (len(etas), len(ws), dim, dim) result is
+    U, bp, bm and core stack, node by node, the eigenvectors of M(eta),
+    the Bose values b+- = bose(+-mu, t) and the core of _eta_node.  Entry
+    [k, i] of out, shaped (len(U), len(ws), dim, dim), becomes
 
-        exp(i*gaps[i]*etas[k]) * (2*pi)^-n * g_k(z, ws[i]) * core_k
+        exp(i*phase[k, i]) * (2*pi)^-n * g_k(z, ws[i]) * core_k
 
-    with core_k the paired endomorphism of the node (see _eta_node) and
-    g_k the exponential of the Mehler quadratic forms at time t in the
-    eigenframe (mu, U) of M(etas[k]).  With ze = U^H z, we = U^H w,
-    b+- = bose(+-mu, t) and f = (b+ + b-)/2 = tanh_ratio(mu, t), the forms
+    with g_k the exponential of the Mehler quadratic forms at time t in
+    the eigenframe (mu, U_k).  With ze = U^H z, we = U^H w and
+    f = (b+ + b-)/2 = tanh_ratio(mu, t), the forms
 
         - f.|ze|^2 - f.|we|^2 + conj(we).(b+ ze) + conj(conj(we).(b- ze))
 
     equal -f.|ze - we|^2 + i (b+ - b-).Im(conj(we) ze), which is how they
     are evaluated.  The real part is <= 0, so |g| <= 1, and g = 1 at z = w.
-    adjoint conjugates g; gaps None leaves out the phase.  Nodes are
-    evaluated one at a time; the Gaussian factors and phases of a block
-    of nodes (_BLOCK_PAIRS node-point pairs) are built together as
-    batched matrix products, with the phase folded into the exponent, so
-    each (node, point) pair costs one complex exponential.
+    adjoint conjugates g; phase None leaves out the phase.  The Gaussian
+    factors of the block are built together as batched matrix products,
+    with the phase folded into the exponent, so each (node, point) pair
+    costs one complex exponential.
+    """
+    scale = (2.0 * math.pi) ** (-U.shape[-1])
+    Uc = U.conj()
+    ze = z @ Uc
+    we = ws @ Uc
+    d = ze[:, None, :] - we
+    f = (bp + bm) / 2.0
+    re = (d.real**2 + d.imag**2) @ -f[:, :, None]
+    # (b+ - b-).Im(conj(we) ze) = Im(we . conj(ze (b- - b+))); the
+    # adjoint conjugates g, which flips the sign of the imaginary part.
+    v = bp - bm if adjoint else bm - bp
+    im = (we @ (ze * v).conj()[:, :, None]).imag
+    if phase is not None:
+        im = im + phase[:, :, None]
+    g = np.exp(re + 1j * im)
+    np.multiply(g[:, :, :, None], (core * scale)[:, None], out=out)
+
+
+def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoint: bool):
+    """Fiber heat kernels at every eta node, from z to every point of ws.
+
+    Entry [k, i] of the (len(etas), len(ws), dim, dim) result is the
+    _gaussian_block entry of node etas[k] and point ws[i], with phase
+    gaps[i]*etas[k] (none when gaps is None).  Nodes are evaluated one at
+    a time, and assembled a block of _BLOCK_PAIRS node-point pairs at a
+    time.
     """
     etas = np.asarray(etas, dtype=float)
     n, dim = p.n, math.comb(p.n, q)
-    scale = (2.0 * math.pi) ** (-n)
     out = np.empty((len(etas), len(ws), dim, dim), dtype=complex)
     step = max(1, _BLOCK_PAIRS // max(1, len(ws)))
     for lo in range(0, len(etas), step):
@@ -134,33 +162,50 @@ def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoin
         for k, eta in enumerate(block):
             es, bp[k], bm[k], core[k] = _eta_node(p, q, t, eta)
             U[k] = es.unitary
-        Uc = U.conj()
-        ze = z @ Uc
-        we = ws @ Uc
-        d = ze[:, None, :] - we
-        f = (bp + bm) / 2.0
-        re = (d.real**2 + d.imag**2) @ -f[:, :, None]
-        # (b+ - b-).Im(conj(we) ze) = Im(we . conj(ze (b- - b+))); the
-        # adjoint conjugates g, which flips the sign of the imaginary part.
-        v = bp - bm if adjoint else bm - bp
-        im = (we @ (ze * v).conj()[:, :, None]).imag
-        if gaps is not None:
-            im = im + (gaps[None, :] * block[:, None])[:, :, None]
-        g = np.exp(re + 1j * im)
-        np.multiply(g[:, :, :, None], (core * scale)[:, None], out=out[lo : lo + B])
+        phase = None if gaps is None else gaps[None, :] * block[:, None]
+        _gaussian_block(z, ws, U, bp, bm, core, phase, adjoint, out[lo : lo + B])
     return out
 
 
+def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float):
+    """_eta_node(p, q, t, eta), kept on p as its one boxeta_kernel memo entry.
+
+    Callers sweep boxeta_kernel over z at a fixed (q, t, eta), so the
+    last node is kept on the point, next to its cached det_poly and
+    pencil_roots, and reused while the key compares equal.  Every array
+    of the node is read-only.  The key and the node are stored and read
+    as one tuple, so concurrent callers can at worst recompute a node.
+    """
+    key = (q, t, eta)
+    entry = p.__dict__.get("_boxeta_node")
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    node = _eta_node(p, q, t, eta)
+    for a in node[1:]:
+        a.flags.writeable = False
+    p.__dict__["_boxeta_node"] = (key, node)
+    return node
+
+
 def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> KernelValue:
-    """Heat kernel of the frequency-eta fiber operator between z and w in C^n."""
+    """Heat kernel of the frequency-eta fiber operator between z and w in C^n.
+
+    The node at (q, t, eta) is memoized on p (see _memo_node), so a sweep
+    over z or w at one frequency evaluates it once.
+    """
     _check_time(t)
     b = basis(p.n, q)
+    eta = float(eta)
     z = np.asarray(z, dtype=complex).ravel()
     w = np.asarray(w, dtype=complex).ravel()
     if z.size != p.n or w.size != p.n:
         raise InvalidArgument("point dimension does not match the curvature data")
-    values = _fiber_values(p, q, t, [eta], z, w[None], None, False)
-    return KernelValue(FormEndomorphism(b, values[0, 0]))
+    if not (math.isfinite(eta) and np.isfinite(z).all() and np.isfinite(w).all()):
+        raise NonFinite("frequency and points must be finite")
+    es, bp, bm, core = _memo_node(p, q, t, eta)
+    out = np.empty((1, 1) + core.shape, dtype=complex)
+    _gaussian_block(z, w[None], es.unitary[None], bp[None], bm[None], core[None], None, False, out)
+    return KernelValue(FormEndomorphism(b, out[0, 0]))
 
 
 def _quadratic_forms(mat, z, w):

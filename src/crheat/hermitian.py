@@ -206,7 +206,7 @@ def pencil_det_poly(R, L) -> list[float]:
     coeffs = sums * (-2.0) ** np.arange(n + 1)
     cmax = float(np.max(np.abs(coeffs)))
     if cmax > 0 and float(np.max(np.abs(coeffs.imag))) > 1e-9 * max(1.0, cmax):
-        raise RuntimeError("pencil expansion produced complex coefficients")
+        raise NonHermitian("pencil expansion produced complex coefficients")
     out = coeffs.real.copy()
     if cmax > 0:
         out[np.abs(out) < 1e-12 * cmax] = 0.0

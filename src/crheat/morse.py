@@ -17,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import curvature_point, density_diagonal, y_condition
-from .errors import DegreeOutOfRange, DivergentIntegral, EmptyDescriptor, MixedDimension
+from .errors import (
+    DegreeOutOfRange,
+    DivergentIntegral,
+    EmptyDescriptor,
+    InvalidArgument,
+    MixedDimension,
+    NonFinite,
+    NonHermitian,
+)
 from .hermitian import eig_hermitian, pencil_det_poly
 
 
@@ -137,6 +145,15 @@ def rx_partition(R, L) -> EtaPartition:
     return EtaPartition(tuple(roots), tuple(cells))
 
 
+def _check_delta(delta):
+    if delta is None:
+        return
+    if not math.isfinite(delta):
+        raise NonFinite("delta must be finite (None for the whole line)")
+    if delta < 0:
+        raise InvalidArgument("delta must be nonnegative")
+
+
 def _antiderivative(coeffs) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     return np.concatenate([[0.0], c / np.arange(1, len(c) + 1)])
@@ -149,13 +166,15 @@ def morse_local(R, L, j: int, delta: float | None = None):
     Returns the Divergent sentinel when some signature-j cell is unbounded
     and no truncation applies (the polynomial is nonzero there, so the
     integral is infinite).  An identically zero pencil has no signature
-    partition and raises IdenticallyDegeneratePencil.
+    partition and raises IdenticallyDegeneratePencil.  A negative delta
+    raises InvalidArgument, a non-finite one NonFinite.
     """
     Rm = np.asarray(R, dtype=complex)
     Lm = np.asarray(L, dtype=complex)
     n = Rm.shape[0]
     if not 0 <= j <= n:
         raise DegreeOutOfRange(f"degree j={j} outside 0..{n}")
+    _check_delta(delta)
     coeffs = pencil_det_poly(Rm, Lm)
     part = rx_partition(Rm, Lm)
     anti = _antiderivative(coeffs)
@@ -186,7 +205,7 @@ def morse_global(d: ManifoldDescriptor, q: int, delta: float | None = None) -> M
     The strong alternating sum at level m is populated only when every
     j <= m is finite and, without a truncation, the signature condition
     holds at every point for every j <= m (the untruncated strong
-    inequalities assume it).
+    inequalities assume it).  delta is checked as in morse_local.
     """
     n = d.n
     cap = n if d.q_max is None else min(n, d.q_max)
@@ -251,7 +270,7 @@ def heat_trace(d: ManifoldDescriptor, q: int, t: float, delta: float | None = No
                 last_error = exc
                 break
             if abs(tr.imag) > 1e-10 * max(1.0, abs(tr.real)):
-                raise RuntimeError(f"trace has non-negligible imaginary part {tr.imag}")
+                raise NonHermitian(f"trace has non-negligible imaginary part {tr.imag}")
             acc += p.weight * tr.real
         out.append(acc if entry is None else Divergent)
     if all(v is Divergent for v in out):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MaxSubdivisions, NonFinite
+from .errors import InvalidArgument, MaxSubdivisions, NonFinite
 
 # Kronrod 15-point nodes on [-1,1] with Kronrod weights and the embedded
 # Gauss-7 weights (zero at Kronrod-only nodes), in ascending node order.
@@ -70,8 +70,8 @@ def integrate_adaptive(
     edges (the integrand may have removable kinks there, e.g. pencil roots);
     max_width caps the initial panel width for oscillatory integrands.
     Returns the accumulated value; the combined Kronrod-vs-Gauss error is
-    driven below tol_abs + tol_rel * |result|.  Raises NonFinite for an
-    infinite limit or when f returns a NaN or infinite value at any node,
+    driven below tol_abs + tol_rel * |result|.  Raises InvalidArgument
+    for b < a, NonFinite for an infinite limit or when f returns a NaN or infinite value at any node,
     and MaxSubdivisions when max_rounds refinement rounds do not reach
     the tolerance.
     """
@@ -80,7 +80,7 @@ def integrate_adaptive(
     if not b > a:
         if b == a:
             return 0.0
-        raise ValueError("integration interval is reversed")
+        raise InvalidArgument("integration interval is reversed")
     edges = [a] + [x for x in sorted(interior_breaks) if a < x < b] + [b]
     if max_width is not None:
         edges = subdivide_width(edges, max_width)

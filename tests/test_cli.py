@@ -399,3 +399,54 @@ def test_eta_grid_sample_count_is_bounded(capsys):
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--q", "0", "--t", "1", "--delta", "2"),
+        ("kernel", "--q", "0", "--t", "1", "--x", "0,0,0", "--y", "0,0,0", "--delta", "2"),
+        ("morse", "--q", "1", "--delta", "2"),
+    ],
+)
+def test_unreadable_input_exits_2(capsys, tmp_path, argv):
+    # a directory, and a file that is not UTF-8: one line on stderr, no traceback
+    source = DESC_INDEF if argv[0] == "morse" else POINT_CONVEX
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b"\xff" + pathlib.Path(source).read_bytes())
+    for path, message in ((tmp_path, "Is a directory"), (latin, "not UTF-8")):
+        code, out, err = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_undecodable_file_is_a_format_error(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_bytes(format_point(curvature_point([[1.0]], [[0.5]])).encode().replace(b"1.0", b"1.\xe9"))
+    with pytest.raises(FileFormatError, match="not UTF-8"):
+        crheat.files.load_point(path)
+    with pytest.raises(FileFormatError, match="not UTF-8"):
+        load_descriptor(path)
+
+
+def test_calls_in_one_process_print_as_separate_runs(capsys):
+    # the parser is built once per process: a usage error and a change of
+    # subcommand must leave nothing behind for the next call
+    sequence = [
+        ("density", "--input", POINT_CONVEX, "--q", "0", "--t", "-1", "--delta", "2"),
+        ("density", "--input", POINT_CONVEX, "--q", "0", "--t", "1", "--delta", "2"),
+        ("kernel", "--input", POINT_CONVEX, "--q", "0", "--t", "1", "--x", "0.3,0.2,0.1",
+         "--y=-0.1,-0.4,0.0", "--delta", "2", "--format", "json"),
+        ("morse", "--input", DESC_INDEF, "--q", "1", "--delta", "2"),
+    ]
+    src = str(pathlib.Path(crheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "crheat", *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr), argv

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crheat import density
 from crheat.density import (
@@ -221,6 +223,9 @@ def test_diagonal_input_validation():
         density_diagonal(P_INDEF, 1, -1.0)
     with pytest.raises(ValueError):
         density_diagonal(P_INDEF, 1, 1.0, delta=-0.5)
+    for eta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFinite):
+            density_integrand(P_INDEF, 1, 1.0, eta)
 
 
 def test_argument_errors_are_typed():
@@ -298,6 +303,37 @@ def test_truncation_certificate_is_honest():
         ) * (2 * math.pi) ** -3
         assert np.max(np.abs(part - full)) <= cert
         assert cert < 1.0
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_certificate_bounds_the_actual_tail(seed):
+    # definite Levi form: every degree 1..n-1 decays both ways.  The actual
+    # tail of the integrand's operator norm beyond H, by reference
+    # quadrature over a window long enough for exp(-t*rate*eta) to fall by
+    # e^-40, stays below the certificate; H starts at the smallest valid window.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    q = int(rng.integers(1, n))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    p = curvature_point(rand_herm(rng, n), sign * (a @ a.conj().T / n + 0.3 * np.eye(n)))
+    t = float(rng.uniform(0.3, 2.0))
+    rep = tail_decay(p.levi, q)
+    c_norm = float(np.linalg.norm(p.curvature.mat))
+    l_norm = float(np.linalg.norm(p.levi.mat))
+    for side, rate in ((1.0, rep.rate_plus), (-1.0, rep.rate_minus)):
+        assert rate > 0.0
+        for factor in (1.01, 2.0):
+            H = factor * (1.0 / t + c_norm) / rate
+            cert = tail_certificate(c_norm, l_norm, n, q, t, rate, H)
+            assert math.isfinite(cert)
+
+            def norm(eta):
+                return np.linalg.norm(density_integrand(p, q, t, side * float(eta)).matrix, 2)
+
+            actual = reference_quadrature(norm, H, H + 40.0 / (t * rate), tol=1e-6 * cert)
+            assert 0.0 < actual <= cert
 
 
 def test_certificate_validity_conditions():

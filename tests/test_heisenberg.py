@@ -97,6 +97,89 @@ def test_boxeta_scalar_degree_is_mehler_at_half_time():
             assert abs(got.matrix[0, 0] - want) <= 1e-12 * abs(want)
 
 
+def _sweep(p, eta, q, t, zs, w):
+    return [boxeta_kernel(p, eta, q, t, z, w).matrix for z in zs]
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_boxeta_memo_hit_equals_miss_and_unmemoized_path():
+    # hits (one point swept over z), misses (a new point per call) and the
+    # unmemoized path (_fiber_values evaluates its node afresh) agree bitwise
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3):
+        p = curvature_point(rand_herm(rng, n), rand_herm(rng, n))
+        for q in range(n + 1):
+            eta, t = float(rng.uniform(-2, 2)), float(rng.uniform(0.2, 3.0))
+            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            zs = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+            hits = _sweep(p, eta, q, t, zs, w)
+            misses = [_sweep(curvature_point(p.curvature, p.levi), eta, q, t, [z], w)[0] for z in zs]
+            fresh = [heisenberg._fiber_values(p, q, t, [eta], z, w[None], None, False)[0, 0] for z in zs]
+            assert _same_bits(hits, misses) and _same_bits(hits, fresh)
+
+
+def test_boxeta_memo_misses_on_any_key_change(monkeypatch):
+    keys = []
+    eta_node = heisenberg._eta_node
+
+    def counted(p, q, t, eta):
+        keys.append((id(p), q, t, eta))
+        return eta_node(p, q, t, eta)
+
+    monkeypatch.setattr(heisenberg, "_eta_node", counted)
+    p = curvature_point(np.diag([0.6, -0.2]), np.diag([1.0, 0.7]))
+    other = curvature_point(p.curvature, p.levi)
+    z, w = [0.1j, 0.2], [0.3, -0.1j]
+    calls = [
+        (p, 0.4, 1, 0.8), (p, 0.4, 1, 0.8),  # miss, hit
+        (p, 0.4, 2, 0.8), (p, 0.4, 1, 0.8),  # q changes: one entry, so both miss
+        (p, 0.4, 1, 0.9), (p, 0.5, 1, 0.9), (p, 0.5, 1, 0.9),  # t, then eta
+        (other, 0.5, 1, 0.9), (p, 0.5, 1, 0.9),  # another point has its own entry
+    ]
+    hits = [False, True, False, False, False, False, True, False, True]
+    for (pt, eta, q, t), hit in zip(calls, hits):
+        before = len(keys)
+        boxeta_kernel(pt, eta, q, t, z, w)
+        assert len(keys) == before + (not hit), (eta, q, t)
+    assert keys[-1] == (id(other), 1, 0.9, 0.5)
+
+
+def test_boxeta_memo_arrays_are_read_only():
+    p = curvature_point(np.diag([0.6, -0.2]), np.diag([1.0, 0.7]))
+    boxeta_kernel(p, 0.3, 1, 0.7, [0.1, 0.2j], [0.0, 0.1])
+    es, bp, bm, core = heisenberg._memo_node(p, 1, 0.7, 0.3)
+    for a in (es.eigenvalues, es.unitary, bp, bm, core):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # the returned kernel is the caller's own, writable array
+    kv = boxeta_kernel(p, 0.3, 1, 0.7, [0.1, 0.2j], [0.0, 0.1])
+    kv.matrix[0, 0] = 0.0
+    again = boxeta_kernel(p, 0.3, 1, 0.7, [0.1, 0.2j], [0.0, 0.1])
+    assert again.matrix[0, 0] != 0.0
+
+
+def test_boxeta_sweeps_of_two_points_in_alternation():
+    # same (q, t, eta) at both points: only the point tells their nodes apart
+    rng = np.random.default_rng(33)
+    pa = curvature_point(rand_herm(rng, 2), rand_herm(rng, 2))
+    pb = curvature_point(rand_herm(rng, 2), rand_herm(rng, 2))
+    zs = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    w = np.array([0.2 - 0.1j, 0.4j])
+    alone_a = _sweep(curvature_point(pa.curvature, pa.levi), 0.7, 1, 0.6, zs, w)
+    alone_b = _sweep(curvature_point(pb.curvature, pb.levi), 0.7, 1, 0.6, zs, w)
+    mixed_a, mixed_b = [], []
+    for z in zs:
+        mixed_a.extend(_sweep(pa, 0.7, 1, 0.6, [z], w))
+        mixed_b.extend(_sweep(pb, 0.7, 1, 0.6, [z], w))
+    assert _same_bits(mixed_a, alone_a) and _same_bits(mixed_b, alone_b)
+    fresh_b = [heisenberg._fiber_values(pb, 1, 0.6, [0.7], z, w[None], None, False)[0, 0] for z in zs]
+    assert _same_bits(alone_b, fresh_b)
+
+
 def test_boxeta_coincident_positive():
     kv = boxeta_kernel(curvature_point([[1.0]], [[0.5]]), 0.2, 0, 1.0, [1 + 0j], [1 + 0j])
     assert kv.matrix[0, 0].real > 0
@@ -176,6 +259,19 @@ def test_group_kernel_input_validation():
             heisenberg_heat_kernel(P_CONVEX, 0, 1.0, far, x, delta=delta)
     with pytest.raises(NonFinite):
         heisenberg_kernel_batch(P_CONVEX, 0, 1.0, x, [[1000.0]], [0.0], delta=2.0, adjoint=True)
+    # the fiber kernel: a non-finite frequency or point, before any node work
+    for eta, z, w in ((math.nan, 0j, 0j), (math.inf, 0j, 0j), (0.5, complex(math.nan, 0.0), 0j),
+                      (0.5, 0j, complex(0.0, -math.inf))):
+        fresh = curvature_point([[1.0]], [[1.0]])
+        with pytest.raises(NonFinite):
+            boxeta_kernel(fresh, eta, 0, 1.0, [z], [w])
+        assert "_boxeta_node" not in vars(fresh)
+
+
+def test_mehler_input_validation():
+    for x, y in (([math.nan, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, -math.inf])):
+        with pytest.raises(NonFinite):
+            mehler_kernel([[1.0]], 1.0, x, y)
 
 
 def test_group_kernel_weighted_adjoint_symmetry():

@@ -1,9 +1,16 @@
 """Source hygiene of the package itself."""
 
 import ast
+import importlib
 import pathlib
 
+from crheat.errors import CrheatError
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "crheat"
+
+# Independent checkers of the library, not part of it: they may raise
+# plain exceptions.
+UNTYPED_RAISES_ALLOWED = ("oracles.py", "validate.py")
 
 
 def _unused_imports(source: str) -> list:
@@ -32,3 +39,102 @@ def test_no_unused_imports():
         if path.name != "__init__.py"
     }
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def _resolve(node, namespace):
+    """The object a Name or dotted Attribute expression names in namespace, or None."""
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, namespace), node.attr, None)
+    return None
+
+
+def _argparse_type_functions(tree) -> set:
+    """Module functions given to add_argument as type=, and those they call."""
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    todo = [
+        kw.value.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg == "type" and isinstance(kw.value, ast.Name)
+    ]
+    found = set()
+    while todo:
+        name = todo.pop()
+        if name in funcs and name not in found:
+            found.add(name)
+            todo.extend(
+                n.func.id
+                for n in ast.walk(funcs[name])
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            )
+    return found
+
+
+def _untyped_raises(source: str, namespace_of) -> list:
+    """Line numbers of raises whose exception class is not a CrheatError.
+
+    namespace_of() gives the module's namespace, in which the raised names
+    are looked up.  A bare re-raise passes; so does
+    argparse.ArgumentTypeError inside an argparse type function, which
+    argparse reports as a usage error (exit 2).
+    """
+    tree = ast.parse(source)
+    raises = [n for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc is not None]
+    if not raises:
+        return []
+    namespace = namespace_of()
+    in_type_functions = {
+        id(n)
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name in _argparse_type_functions(tree)
+        for n in ast.walk(f)
+    }
+    argparse = namespace.get("argparse")
+    bad = []
+    for node in raises:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        cls = _resolve(exc, namespace)
+        if isinstance(cls, type) and issubclass(cls, CrheatError):
+            continue
+        if id(node) in in_type_functions and argparse and cls is argparse.ArgumentTypeError:
+            continue
+        bad.append(node.lineno)
+    return bad
+
+
+def test_untyped_raise_scan():
+    src = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise CrheatError('typed')\n"
+        "    raise ValueError('plain')\n"
+        "def g(e):\n"
+        "    try:\n"
+        "        pass\n"
+        "    except Exception:\n"
+        "        raise\n"
+        "    raise e\n"
+        "def number(text):\n"
+        "    raise argparse.ArgumentTypeError(text)\n"
+        "def h():\n"
+        "    raise argparse.ArgumentTypeError('outside a type function')\n"
+        "parser.add_argument('--t', type=number)\n"
+    )
+    import argparse
+
+    namespace = {"CrheatError": CrheatError, "ValueError": ValueError, "argparse": argparse}
+    assert _untyped_raises(src, lambda: namespace) == [4, 10, 14]
+
+
+def test_library_raises_only_typed_errors():
+    found = {
+        path.name: _untyped_raises(
+            path.read_text(), lambda: vars(importlib.import_module(f"crheat.{path.stem}"))
+        )
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in UNTYPED_RAISES_ALLOWED
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

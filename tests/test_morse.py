@@ -11,7 +11,9 @@ from crheat.errors import (
     DivergentIntegral,
     EmptyDescriptor,
     IdenticallyDegeneratePencil,
+    InvalidArgument,
     MixedDimension,
+    NonFinite,
 )
 from crheat.hermitian import pencil_det_poly
 from crheat.morse import (
@@ -197,6 +199,18 @@ def test_global_validation_errors():
         )
     with pytest.raises(DegreeOutOfRange):
         morse_global(sample_descriptor(), 5)
+
+
+def test_invalid_delta_is_refused():
+    # a negative delta used to give 0.0 and all-zero feasible bounds, an
+    # infinite one a NaN weak bound marked feasible
+    for delta, error in ((-1.0, InvalidArgument), (-1e-300, InvalidArgument),
+                         (math.inf, NonFinite), (-math.inf, NonFinite), (math.nan, NonFinite)):
+        with pytest.raises(error):
+            morse_local(R2, I2, 1, delta=delta)
+        with pytest.raises(error):
+            morse_global(sample_descriptor(), 1, delta)
+    assert morse_local(R2, I2, 1, delta=0.0) == 0.0
 
 
 def test_heat_trace_delta_zero():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crheat.errors import MaxSubdivisions, NonFinite
+from crheat.errors import InvalidArgument, MaxSubdivisions, NonFinite
 from crheat.quadrature import integrate_adaptive, subdivide_width
 
 
@@ -19,7 +19,7 @@ def test_gaussian_against_erf():
 
 def test_empty_and_reversed_interval():
     assert integrate_adaptive(lambda x: x, 2.0, 2.0) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         integrate_adaptive(lambda x: x, 1.0, 0.0)
 
 
