@@ -267,7 +267,9 @@ def _build_parser():
 
 # Options whose value may start with '-'.  argparse reads such a token as an
 # option unless it is a plain negative number, so "--x -0.1,0,0" and
-# "--eta-grid -2:2:1" are joined into the "--opt=value" form first.
+# "--eta-grid -2:2:1" are joined into the "--opt=value" form first.  The
+# value "--" is never joined, and "--opt=--" is split: argparse would hand
+# the option an empty list instead of refusing it.
 _SIGNED_OPTIONS = ("--t", "--delta", "--eta-grid", "--x", "--y", "--heat-t")
 
 
@@ -276,9 +278,13 @@ def _join_signed_values(argv):
     k = 0
     while k < len(argv):
         tok = argv[k]
-        if tok in _SIGNED_OPTIONS and k + 1 < len(argv) and argv[k + 1].startswith("-"):
+        if (tok in _SIGNED_OPTIONS and k + 1 < len(argv) and argv[k + 1].startswith("-")
+                and argv[k + 1] != "--"):
             out.append(f"{tok}={argv[k + 1]}")
             k += 2
+        elif tok.startswith("--") and tok.endswith("=--"):
+            out += [tok[:-3], "--"]
+            k += 1
         else:
             out.append(tok)
             k += 1

@@ -104,13 +104,16 @@ def y_condition(levi_eigenvalues, q: int) -> bool:
 
     True iff at least max(n+1-q, q+1) eigenvalues share a strict sign, or
     there are at least min(n+1-q, q+1) pairs of strictly opposite signs.
+    Eigenvalues with |lambda| <= 1e-12 * max(1, ||lambda||_2) count as zero,
+    the dead band of tail_decay, so Y(q) always implies two-sided decay.
     """
     lam = list(levi_eigenvalues)
     n = len(lam)
     if n < 1 or not 0 <= q <= n:
         raise DegreeOutOfRange(f"degree q={q} outside 0..{n}")
-    pos = sum(1 for v in lam if v > 0)
-    neg = sum(1 for v in lam if v < 0)
+    dead = 1e-12 * max(1.0, float(np.linalg.norm(lam)))
+    pos = sum(1 for v in lam if v > dead)
+    neg = sum(1 for v in lam if v < -dead)
     same = max(n + 1 - q, q + 1)
     pairs = min(n + 1 - q, q + 1)
     return pos >= same or neg >= same or min(pos, neg) >= pairs
@@ -187,16 +190,30 @@ def _eta_node(p: CurvaturePoint, q: int, t: float, eta: float):
     return es, bose_plus, bose_minus, (E * d) @ E.conj().T
 
 
+def _finite_node(node_fn, p: CurvaturePoint, q: int, t: float, eta: float):
+    """node_fn(p, q, t, eta), an _eta_node, with NonFinite where it overflows.
+
+    A single node overflows only at a huge |eta|, where the pencil
+    eigenvalues reach ~1e300.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        node = node_fn(p, q, t, eta)
+    if not all(np.isfinite(a).all() for a in node[1:]):
+        raise NonFinite(f"integrand overflows at eta={eta!r}")
+    return node
+
+
 def density_integrand(p: CurvaturePoint, q: int, t: float, eta: float) -> FormEndomorphism:
     """det M/det(1-exp(-tM)) * exp(-t*omega(M)) at M = curvature - 2*eta*levi.
 
     Finite for every finite eta, including pencil roots (removable
-    singularities are guarded at the scalar level); NonFinite otherwise.
+    singularities are guarded at the scalar level), unless it overflows
+    at a huge |eta|; NonFinite in that case and for a non-finite eta.
     """
     _check_time(t)
     if not math.isfinite(eta):
         raise NonFinite("eta must be finite")
-    return FormEndomorphism(basis(p.n, q), _eta_node(p, q, t, eta)[3])
+    return FormEndomorphism(basis(p.n, q), _finite_node(_eta_node, p, q, t, eta)[3])
 
 
 def tail_certificate(

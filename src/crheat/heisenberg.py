@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import CurvaturePoint, _check_time, _eta_integral, _eta_node
+from .density import CurvaturePoint, _check_time, _eta_integral, _eta_node, _finite_node
 from .errors import InvalidArgument, NonFinite
 from .exterior import FormEndomorphism, basis
 from .hermitian import as_hermitian, bose_pair, eig_hermitian, tanh_ratio
@@ -180,7 +180,7 @@ def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float):
     entry = p.__dict__.get("_boxeta_node")
     if entry is not None and entry[0] == key:
         return entry[1]
-    node = _eta_node(p, q, t, eta)
+    node = _finite_node(_eta_node, p, q, t, eta)
     for a in node[1:]:
         a.flags.writeable = False
     p.__dict__["_boxeta_node"] = (key, node)
@@ -215,17 +215,43 @@ def _quadratic_forms(mat, z, w):
     return vz, vw
 
 
-def _prefactor(exponent):
-    """exp(exponent); NonFinite where it overflows, rather than a NaN kernel."""
+def _group_kernel(p: CurvaturePoint, q: int, t: float, x: HeisenbergPoint, zs, thetas, delta,
+                  adjoint: bool, tol: float) -> np.ndarray:
+    """K(t; x, u_i), or K(t; u_i, x) when adjoint, for u_i = (zs[i], thetas[i]).
+
+    Computes (prefactor / (2*pi)) * int exp(i*gap*eta) * fiber_kernel(eta; z, w) deta,
+    with gap = theta_x - theta_u, L the Levi form, C the curvature form and
+
+        prefactor = exp{(beta/2)*gap + i*(beta/2)*(w^H L w - z^H L z) + (z^H C z - w^H C w)/2}
+
+    where the adjoint swaps z and w.  One eta panel set, refined to tol for
+    the worst point and capped at width pi/(4*max|gap|+1), serves the batch.
+    The full-line tail reuses the density certificate (|Gaussian| <= 1).
+    """
+    zs = np.asarray(zs, dtype=complex)
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    if x.n != p.n or zs.size != p.n * len(thetas):
+        raise InvalidArgument("point dimension or batch length does not match the curvature data")
+    if not (np.isfinite(zs).all() and np.isfinite(thetas).all()):
+        raise NonFinite("group point coordinates must be finite")
+    zs = zs.reshape(-1, p.n)
+    z = np.asarray(x.z, dtype=complex)
+    gaps = (thetas - x.theta) if adjoint else (x.theta - thetas)
+    width = math.pi / (4.0 * float(np.max(np.abs(gaps))) + 1.0) if np.any(gaps) else None
+    lz, lw = _quadratic_forms(p.levi.mat, z, zs)
+    cz, cw = _quadratic_forms(p.curvature.mat, z, zs)
+    if adjoint:
+        lz, lw, cz, cw = lw, lz, cw, cz
     with np.errstate(over="ignore", invalid="ignore"):
-        pref = np.exp(exponent)
+        pref = np.exp(0.5 * p.beta * gaps + 0.5j * p.beta * (lw - lz) + 0.5 * (cz - cw))
     if not np.isfinite(pref).all():
         raise NonFinite("kernel prefactor overflows: the points are too far from the origin")
-    return pref
 
+    def f(etas):
+        return _fiber_values(p, q, t, etas, z, zs, gaps, adjoint)
 
-def _oscillatory_width(theta_gap: float) -> float:
-    return math.pi / (4.0 * abs(theta_gap) + 1.0)
+    total = _eta_integral(p, q, t, delta, f, tol, width, (2.0 * math.pi) ** (-p.n))
+    return (pref / (2.0 * math.pi))[:, None, None] * total
 
 
 def heisenberg_heat_kernel(
@@ -236,39 +262,13 @@ def heisenberg_heat_kernel(
     y: HeisenbergPoint,
     delta: float | None = None,
 ) -> KernelValue:
-    """Heat kernel on C^n x R, full (delta None) or frequency-truncated.
+    """Heat kernel K(t; x, y) on C^n x R, full (delta None) or frequency-truncated.
 
-    Computes (2*pi)^-1 * prefactor * int exp(i*(theta_x - theta_y)*eta) *
-    fiber_kernel(eta; z, w) deta, where the eta-independent prefactor is
-
-        exp{ (beta/2)*(theta_x - theta_y)
-             + i*(beta/2)*(w^H L w - z^H L z)
-             + (z^H C z - w^H C w)/2 }
-
-    with L the Levi form and C the curvature form.  Oscillation is handled
-    by capping panel widths at pi/(4*|theta gap|+1); the full-line tail
-    reuses the density module's certificate, valid here because the
-    Gaussian factor has modulus at most one.
+    The one-point case of heisenberg_kernel_batch (see _group_kernel for
+    the formula), with its eta-integral driven to 1e-10.
     """
-    if x.n != p.n or y.n != p.n:
-        raise InvalidArgument("point dimension does not match the curvature data")
-    b = basis(p.n, q)
-    z = np.asarray(x.z, dtype=complex)
-    w = np.asarray(y.z, dtype=complex)
-    theta_gap = x.theta - y.theta
-    gaps = np.array([theta_gap])
-
-    def f(etas):
-        return _fiber_values(p, q, t, etas, z, w[None], gaps, False)[:, 0]
-
-    lz, lw = _quadratic_forms(p.levi.mat, z, w)
-    cz, cw = _quadratic_forms(p.curvature.mat, z, w)
-    pref = _prefactor(
-        0.5 * p.beta * theta_gap + 0.5j * p.beta * (lw - lz) + 0.5 * (cz - cw)
-    ) / (2.0 * math.pi)
-    width = _oscillatory_width(theta_gap) if theta_gap != 0.0 else None
-    total = _eta_integral(p, q, t, delta, f, 1e-10, width, (2.0 * math.pi) ** (-p.n))
-    return KernelValue(FormEndomorphism(b, pref * total))
+    out = _group_kernel(p, q, t, x, [y.z], [y.theta], delta, False, 1e-10)
+    return KernelValue(FormEndomorphism(basis(p.n, q), out[0]))
 
 
 def heisenberg_kernel_batch(
@@ -283,34 +283,9 @@ def heisenberg_kernel_batch(
 ) -> np.ndarray:
     """Kernel K(t; x, u_i) for a batch of points u_i = (zs[i], thetas[i]).
 
-    With adjoint=True returns K(t; u_i, x) instead.  The eta-integral runs
-    over [-delta, delta], or the whole line when delta is None, as in
-    heisenberg_heat_kernel.  One eta panel set is shared across the whole
-    batch (refinement driven by the worst point), which is what makes
-    grid convolution tests affordable.  Returns an array of shape
-    (len(zs), dim, dim).
+    With adjoint=True returns K(t; u_i, x) instead; delta as in
+    heisenberg_heat_kernel.  One eta panel set, driven to 1e-8 by the
+    worst point, serves the whole batch, which is what makes grid
+    convolution tests affordable.  Returns shape (len(zs), dim, dim).
     """
-    zs = np.asarray(zs, dtype=complex)
-    thetas = np.asarray(thetas, dtype=float).reshape(-1)
-    if x.n != p.n or zs.size % p.n:
-        raise InvalidArgument("point dimension does not match the curvature data")
-    zs = zs.reshape(-1, p.n)
-    if len(zs) != len(thetas):
-        raise InvalidArgument("zs and thetas length mismatch")
-    z = np.asarray(x.z, dtype=complex)
-    gaps = (thetas - x.theta) if adjoint else (x.theta - thetas)
-    max_gap = float(np.max(np.abs(gaps))) if len(gaps) else 0.0
-    width = _oscillatory_width(max_gap) if max_gap != 0.0 else None
-    scale = (2.0 * math.pi) ** (-p.n)
-
-    def f(etas):
-        return _fiber_values(p, q, t, etas, z, zs, gaps, adjoint)
-
-    lz, lw = _quadratic_forms(p.levi.mat, z, zs)
-    cz, cw = _quadratic_forms(p.curvature.mat, z, zs)
-    if adjoint:
-        pref = _prefactor(0.5 * p.beta * gaps + 0.5j * p.beta * (lz - lw) + 0.5 * (cw - cz))
-    else:
-        pref = _prefactor(0.5 * p.beta * gaps + 0.5j * p.beta * (lw - lz) + 0.5 * (cz - cw))
-    total = _eta_integral(p, q, t, delta, f, 1e-8, width, scale)
-    return pref[:, None, None] * total / (2.0 * math.pi)
+    return _group_kernel(p, q, t, x, zs, thetas, delta, adjoint, 1e-8)

@@ -167,7 +167,8 @@ def morse_local(R, L, j: int, delta: float | None = None):
     and no truncation applies (the polynomial is nonzero there, so the
     integral is infinite).  An identically zero pencil has no signature
     partition and raises IdenticallyDegeneratePencil.  A negative delta
-    raises InvalidArgument, a non-finite one NonFinite.
+    raises InvalidArgument, a non-finite one NonFinite, and so does an
+    integral too large to represent (a huge delta or huge forms).
     """
     Rm = np.asarray(R, dtype=complex)
     Lm = np.asarray(L, dtype=complex)
@@ -190,11 +191,15 @@ def morse_local(R, L, j: int, delta: float | None = None):
         elif not cell.bounded:
             return Divergent
         mid = 0.5 * (lo + hi)
-        sign = 1.0 if np.polynomial.polynomial.polyval(mid, coeffs) >= 0 else -1.0
-        total += sign * float(
-            np.polynomial.polynomial.polyval(hi, anti)
-            - np.polynomial.polynomial.polyval(lo, anti)
-        )
+        # an overflow leaves the total non-finite, which is checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            sign = 1.0 if np.polynomial.polynomial.polyval(mid, coeffs) >= 0 else -1.0
+            total += sign * float(
+                np.polynomial.polynomial.polyval(hi, anti)
+                - np.polynomial.polynomial.polyval(lo, anti)
+            )
+    if not math.isfinite(total):
+        raise NonFinite("Morse cell integral overflows: truncate to a smaller delta")
     return total
 
 
@@ -224,6 +229,8 @@ def morse_global(d: ManifoldDescriptor, q: int, delta: float | None = None) -> M
                 finite = False
                 break
             acc += p.weight * v
+        if not math.isfinite(acc):
+            raise NonFinite("weighted Morse sum overflows")
         weak.append(norm * acc if finite else math.nan)
         feasible.append(finite)
         if delta is None:

@@ -2,11 +2,14 @@
 
 Panels are refined in deterministic rounds (every failing panel splits at its
 midpoint).  All nodes of a round go to the integrand in one vectorized call
-on the calling thread; a NaN or infinite node value raises NonFinite rather
-than being refined forever.
+on the calling thread; a NaN or infinite node value, or a panel sum that
+overflows, raises NonFinite rather than being refined forever, and no call
+evaluates more than MAX_NODES nodes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -34,6 +37,12 @@ _GK = (
 GK_NODES = np.array([row[0] for row in _GK])
 GK_WEIGHTS = np.array([row[1] for row in _GK])
 G7_WEIGHTS = np.array([row[2] for row in _GK])
+
+# Integrand evaluations one integrate_adaptive call may make, counting the
+# initial panels.  The library's own integrals stay far below it (see
+# CHANGES.md); an integrand that never converges reaches it within a
+# dozen rounds, where max_rounds alone would allow exponential growth.
+MAX_NODES = 50_000
 
 
 def _norm(v) -> float:
@@ -71,9 +80,10 @@ def integrate_adaptive(
     max_width caps the initial panel width for oscillatory integrands.
     Returns the accumulated value; the combined Kronrod-vs-Gauss error is
     driven below tol_abs + tol_rel * |result|.  Raises InvalidArgument
-    for b < a, NonFinite for an infinite limit or when f returns a NaN or infinite value at any node,
-    and MaxSubdivisions when max_rounds refinement rounds do not reach
-    the tolerance.
+    for b < a; NonFinite for an infinite limit, when f returns a NaN or
+    infinite value at any node, or when a panel sum or the total
+    overflows; and MaxSubdivisions when max_rounds refinement rounds do
+    not reach the tolerance or the rounds would exceed MAX_NODES nodes.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise NonFinite("integration limits must be finite")
@@ -83,37 +93,47 @@ def integrate_adaptive(
         raise InvalidArgument("integration interval is reversed")
     edges = [a] + [x for x in sorted(interior_breaks) if a < x < b] + [b]
     if max_width is not None:
+        # each segment gets at most width / max_width + 1 pieces
+        if 15 * ((b - a) / max_width + len(edges)) > MAX_NODES:
+            raise MaxSubdivisions(f"panels of width {max_width} would exceed {MAX_NODES} nodes")
         edges = subdivide_width(edges, max_width)
     panels = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+    nodes = 15 * len(panels)
 
     def rule(panel_list):
         pts = np.concatenate(
             [0.5 * (lo + hi) + 0.5 * (hi - lo) * GK_NODES for lo, hi in panel_list]
         )
-        vals = np.asarray(f(pts))
-        if not np.isfinite(vals).all():
-            raise NonFinite("integrand returned a NaN or infinite value")
-        vals = vals.reshape((len(panel_list), 15) + vals.shape[1:])
-        shape_tail = (1,) * (vals.ndim - 2)
-        wk = GK_WEIGHTS.reshape((15,) + shape_tail)
-        wg = G7_WEIGHTS.reshape((15,) + shape_tail)
-        # Panel by panel, so no temporary as large as vals is ever built.
-        ik, errs = [], []
-        for v, (lo, hi) in zip(vals, panel_list):
-            half = 0.5 * (hi - lo)
-            k = (v * wk).sum(axis=0) * half
-            ik.append(k)
-            errs.append(float(np.max(np.abs(k - (v * wg).sum(axis=0) * half))))
+        # Overflow, in f far out on the line or in a panel sum, leaves
+        # non-finite values: they raise here or in the round check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(f(pts))
+            if not np.isfinite(vals).all():
+                raise NonFinite("integrand returned a NaN or infinite value")
+            vals = vals.reshape((len(panel_list), 15) + vals.shape[1:])
+            shape_tail = (1,) * (vals.ndim - 2)
+            wk = GK_WEIGHTS.reshape((15,) + shape_tail)
+            wg = G7_WEIGHTS.reshape((15,) + shape_tail)
+            # Panel by panel, so no temporary as large as vals is ever built.
+            ik, errs = [], []
+            for v, (lo, hi) in zip(vals, panel_list):
+                half = 0.5 * (hi - lo)
+                k = (v * wk).sum(axis=0) * half
+                ik.append(k)
+                errs.append(float(np.max(np.abs(k - (v * wg).sum(axis=0) * half))))
         return ik, errs
 
     values, errors = rule(panels)
     total_width = b - a
     for _ in range(max_rounds):
-        total = values[0] * 0.0
-        for v in values:
-            total = total + v
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = values[0] * 0.0
+            for v in values:
+                total = total + v
         err_total = sum(errors)
         target = tol_abs + tol_rel * _norm(total)
+        if not math.isfinite(err_total + target):
+            raise NonFinite("a panel sum overflows: the integral is too large to represent")
         if err_total <= target:
             return total
         failing = [
@@ -125,6 +145,9 @@ def integrate_adaptive(
             # Global error still high but spread thinly: split the worst half.
             order = sorted(range(len(panels)), key=lambda i: -errors[i])
             failing = order[: max(1, len(order) // 2)]
+        nodes += 30 * len(failing)
+        if nodes > MAX_NODES:
+            raise MaxSubdivisions(f"adaptive quadrature would exceed {MAX_NODES} nodes")
         children = []
         for i in failing:
             lo, hi = panels[i]

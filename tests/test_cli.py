@@ -331,6 +331,12 @@ def test_non_finite_point_file_exits_2_quickly(tmp_path):
         ("kernel", "--input", POINT_CONVEX, "--q", "0", "--t", "1", "--x", "0,0,0",
          "--y", "0,0,0", "--delta", "-2"),
         ("morse", "--input", DESC_INDEF, "--q", "1", "--heat-t", "1,-1"),
+        # argparse hands "--opt=--" an empty list instead of a string, which
+        # used to reach the library and end in a TypeError traceback
+        ("density", "--input", POINT_CONVEX, "--q", "0", "--t=--"),
+        ("density", "--input", POINT_CONVEX, "--q", "0", "--t", "--"),
+        ("density", "--input", POINT_CONVEX, "--q=--", "--t", "1"),
+        ("kernel", "--input", POINT_CONVEX, "--q", "0", "--t", "1", "--x=--", "--y", "0,0,0"),
     ],
 )
 def test_bad_reals_are_usage_errors(capsys, argv):
@@ -450,3 +456,39 @@ def test_calls_in_one_process_print_as_separate_runs(capsys):
         proc = subprocess.run([sys.executable, "-m", "crheat", *argv],
                               capture_output=True, text=True, timeout=60, env=env)
         assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the j = 0 cell integral of |det| over [-1e300, 1e300] overflows; it
+        # used to print inf (csv) or the invalid JSON token Infinity
+        ("morse", "--input", DESC_INDEF, "--q", "1", "--delta", "1e300"),
+        ("morse", "--input", DESC_INDEF, "--q", "1", "--delta", "1e300", "--format", "json"),
+        # so does the integrand at eta = -1e300, which used to print inf
+        ("density", "--input", POINT_DEFINITE, "--q", "0", "--t", "1", "--delta", "1",
+         "--eta-grid=-1e300:1e300:1e300"),
+    ],
+)
+def test_overflow_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "overflows" in err
+
+
+@pytest.mark.parametrize("command", ["density", "kernel"])
+def test_huge_truncation_exits_2_quickly(command):
+    # the panel sums overflow in the first round; the refinement used to
+    # grow without bound (still running after 120 s)
+    src = str(pathlib.Path(crheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "crheat", command, "--input", POINT_CONVEX,
+            "--q", "0", "--t", "1", "--delta", "1e300"]
+    if command == "kernel":
+        argv += ["--x", "0,0,0", "--y", "0,0,0"]
+    start = time.monotonic()
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=5, env=env)
+    assert time.monotonic() - start < 5.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    assert "Warning" not in proc.stderr

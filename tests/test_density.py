@@ -123,6 +123,30 @@ def test_y_condition_implies_two_sided_decay():
             assert r.plus_decays and r.minus_decays
 
 
+def test_y_condition_dead_band_matches_tail_decay():
+    # |lambda| <= 1e-12 * max(1, ||lambda||_2) is zero for both, so Y(q)
+    # never promises a decay that tail_decay (and density_diagonal) refuse
+    assert y_condition([1.0, 1e-14], 1) is False
+    assert y_condition([1.0, -1e-14], 0) is False
+    assert y_condition([1.0, 1e-11], 1) is True
+    # the band scales with the norm
+    assert y_condition([1e13, 1.0, 1.0], 1) is False
+    assert y_condition([1e13, 100.0, 100.0], 1) is True
+    assert y_condition([1e13, 100.0, 100.0, -100.0], 0) is True
+    assert y_condition([1e13, 100.0, 100.0, -1.0], 0) is False
+    with pytest.raises(DivergentIntegral):
+        density_diagonal(curvature_point(np.eye(2), np.diag([1.0, 1e-14])), 1, 1.0)
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        lam = rng.choice([-1.0, -1e-14, 0.0, 1e-14, 1e-11, 1.0], size=n) * rng.uniform(0.5, 2.0, size=n)
+        lam = lam * 10.0 ** rng.integers(-3, 14)
+        q = int(rng.integers(0, n + 1))
+        if y_condition(list(lam), q):
+            r = tail_decay(np.diag(lam), q)
+            assert r.plus_decays and r.minus_decays, (lam, q)
+
+
 def test_integrand_scalar_example():
     p = curvature_point([[1.0]], [[1.0]])
     v = density_integrand(p, 1, 1.0, 0.5)

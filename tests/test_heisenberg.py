@@ -259,6 +259,10 @@ def test_group_kernel_input_validation():
             heisenberg_heat_kernel(P_CONVEX, 0, 1.0, far, x, delta=delta)
     with pytest.raises(NonFinite):
         heisenberg_kernel_batch(P_CONVEX, 0, 1.0, x, [[1000.0]], [0.0], delta=2.0, adjoint=True)
+    # non-finite batch points are refused as such, before any prefactor work
+    for zs, thetas in (([[math.nan]], [0.0]), ([[0.0]], [math.nan]), ([[0.0]], [math.inf])):
+        with pytest.raises(NonFinite, match="group point coordinates must be finite"):
+            heisenberg_kernel_batch(P_CONVEX, 0, 1.0, x, zs, thetas, 2.0)
     # the fiber kernel: a non-finite frequency or point, before any node work
     for eta, z, w in ((math.nan, 0j, 0j), (math.inf, 0j, 0j), (0.5, complex(math.nan, 0.0), 0j),
                       (0.5, 0j, complex(0.0, -math.inf))):
@@ -266,6 +270,13 @@ def test_group_kernel_input_validation():
         with pytest.raises(NonFinite):
             boxeta_kernel(fresh, eta, 0, 1.0, [z], [w])
         assert "_boxeta_node" not in vars(fresh)
+    # a finite but huge frequency overflows the node: typed, and not memoized
+    fresh = curvature_point(np.eye(2), np.eye(2))
+    with pytest.raises(NonFinite):
+        boxeta_kernel(fresh, -1e300, 0, 1.0, [0j, 0j], [0j, 0j])
+    assert "_boxeta_node" not in vars(fresh)
+    with pytest.raises(NonFinite):
+        density_integrand(fresh, 0, 1.0, -1e300)
 
 
 def test_mehler_input_validation():

@@ -41,6 +41,58 @@ def test_no_unused_imports():
     assert {name: unused for name, unused in found.items() if unused} == {}
 
 
+# The CLI finds its subcommand handlers by name, so nothing references them.
+DISPATCHED_BY_NAME = ("cmd_",)
+
+
+def _unreferenced_functions(sources: dict) -> list:
+    """module:function for each module-level function no module references.
+
+    sources maps module names to their source.  A reference is a Name or an
+    attribute access anywhere in any module, or an entry of a module's
+    __all__; functions named with a DISPATCHED_BY_NAME prefix are exempt.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return sorted(
+        f"{name}:{f.name}"
+        for name, tree in trees.items()
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef)
+        and f.name not in used
+        and not f.name.startswith(DISPATCHED_BY_NAME)
+    )
+
+
+def test_unreferenced_function_scan():
+    sources = {
+        "a": "def _used():\n    def _inner():\n        pass\n"
+             "def _dead():\n    pass\n"
+             "def cmd_run():\n    pass\n"
+             "def public():\n    pass\n"
+             "def orphan():\n    pass\n"
+             "__all__ = ['public']\n",
+        "b": "from a import _used\nimport a\n_used()\na.x = 1\n",
+    }
+    assert _unreferenced_functions(sources) == ["a:_dead", "a:orphan"]
+
+
+def test_every_library_function_is_referenced():
+    # a private helper nothing calls any more is dead code
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_functions(sources) == []
+
+
 def _resolve(node, namespace):
     """The object a Name or dotted Attribute expression names in namespace, or None."""
     if isinstance(node, ast.Name):

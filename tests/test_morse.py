@@ -213,6 +213,20 @@ def test_invalid_delta_is_refused():
     assert morse_local(R2, I2, 1, delta=0.0) == 0.0
 
 
+def test_overflowing_cell_integral_is_non_finite():
+    # |det| grows like eta^2, so its integral over [-1e300, 1e300] is ~1e900:
+    # a typed error, not an inf weak bound and a RuntimeWarning
+    for j in (0, 2):
+        with pytest.raises(NonFinite):
+            morse_local(R2, I2, j, delta=1e300)
+    assert morse_local(R2, I2, 1, delta=1e300) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    with pytest.raises(NonFinite):
+        morse_global(sample_descriptor(), 1, 1e300)
+    # each point finite, the weighted sum not
+    with pytest.raises(NonFinite):
+        morse_global(sample_descriptor(weight=1e300), 1, 1e100)
+
+
 def test_heat_trace_delta_zero():
     assert heat_trace(sample_descriptor(), 1, 1.0, delta=0.0) == [0.0, 0.0]
 

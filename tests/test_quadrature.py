@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crheat.errors import InvalidArgument, MaxSubdivisions, NonFinite
-from crheat.quadrature import integrate_adaptive, subdivide_width
+from crheat.quadrature import MAX_NODES, integrate_adaptive, subdivide_width
 
 
 def test_polynomial_exact():
@@ -92,3 +92,33 @@ def test_round_budget_exhaustion_is_typed():
     assert integrate_adaptive(f, 0.0, 3.0) == pytest.approx((1.0 - np.cos(120.0)) / 40.0, abs=1e-9)
     with pytest.raises(MaxSubdivisions):
         integrate_adaptive(f, 0.0, 3.0, max_rounds=1)
+
+
+def test_overflowing_panel_sums_raise():
+    # finite node values whose panel sums overflow: the Kronrod-minus-Gauss
+    # error is NaN, which used to count as "not failing" and refine forever
+    for f in (lambda x: np.full(len(x), 1e10), lambda x: np.full((len(x), 2, 2), 1e10 + 1e10j)):
+        with pytest.raises(NonFinite):
+            integrate_adaptive(f, -1e300, 1e300)
+    # every panel finite, their total not
+    with pytest.raises(NonFinite):
+        integrate_adaptive(lambda x: np.full(len(x), 1e300), -1e8, 1e8, interior_breaks=(0.0,))
+
+
+def test_node_budget_stops_a_never_converging_integrand():
+    rng = np.random.default_rng(7)
+    calls = []
+
+    def noise(x):
+        calls.append(len(x))
+        return rng.standard_normal(len(x))
+
+    with pytest.raises(MaxSubdivisions, match="nodes"):
+        integrate_adaptive(noise, 0.0, 1.0)
+    assert 0 < sum(calls) <= MAX_NODES
+    assert len(calls) < 60
+    # a width cap that would need too many panels is refused before any node
+    calls.clear()
+    with pytest.raises(MaxSubdivisions, match="nodes"):
+        integrate_adaptive(noise, 0.0, 1e300, max_width=1.0)
+    assert calls == []
