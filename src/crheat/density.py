@@ -162,10 +162,13 @@ def component_scalars(bose_plus: np.ndarray, bose_minus: np.ndarray, q: int) -> 
     which equals [prod_j bose(mu_j, t)] * exp(-t * sum_{j in J} mu_j)
     because bose(-mu) = bose(mu) * exp(-t*mu).  The paired form never
     multiplies an overflowing exponential by an underflowing one, so it
-    stays finite for every t and eta.
+    stays finite for every t and eta.  Leading axes of the Bose values
+    stack nodes, and the scalars get the same leading axes.
     """
-    inside = basis(len(bose_plus), q).membership
-    return np.where(inside, bose_minus, bose_plus).prod(axis=1)
+    inside = basis(bose_plus.shape[-1], q).membership
+    if bose_plus.ndim > 1:
+        bose_plus, bose_minus = bose_plus[..., None, :], bose_minus[..., None, :]
+    return np.where(inside, bose_minus, bose_plus).prod(axis=-1)
 
 
 def _check_time(t: float):
@@ -173,21 +176,44 @@ def _check_time(t: float):
         raise InvalidArgument("t must be positive")
 
 
-def _eta_node(p: CurvaturePoint, q: int, t: float, eta: float):
-    """Everything the degree-q integrands need at one eta node.
+def _check_delta(delta):
+    if delta is None:
+        return
+    if not math.isfinite(delta):
+        raise NonFinite("delta must be finite (None for the whole line)")
+    if delta < 0:
+        raise InvalidArgument("delta must be nonnegative")
 
-    Returns the eigensystem of M(eta), the Bose values bose(+mu, t) and
-    bose(-mu, t), and the core E diag(d) E^H, where E is the q-th
-    exterior power of the eigenvectors and d the component scalars.
-    M(eta) is exactly Hermitian (the point's forms are symmetrized), so
-    the eigensolver gets it without a second validation.
+
+def _eta_nodes(p: CurvaturePoint, q: int, t: float, etas):
+    """Everything the degree-q integrands need at a block of eta nodes.
+
+    Returns, stacked node by node along axis 0, the eigensystems of
+    M(eta), the Bose values bose(+mu, t) and bose(-mu, t), and the cores
+    E diag(d) E^H, where E is the q-th exterior power of the eigenvectors
+    and d the component scalars.  A single eta given as a float, instead
+    of a sequence, gives the same arrays without the stack axis.  The
+    whole block goes through one call of each layer and one batched
+    matmul, which give every node the bits it gets alone.  M(eta) is
+    exactly Hermitian (the point's forms are symmetrized), so the
+    eigensolver gets it without a second validation.
     """
-    M = p.curvature.mat - (2.0 * eta) * p.levi.mat
+    stacked = not isinstance(etas, float)
+    if stacked:
+        etas = np.asarray(etas, dtype=float)[:, None, None]
+    M = p.curvature.mat - (2.0 * etas) * p.levi.mat
     es = eig_hermitian(HermitianForm.trusted(M))
     bose_plus, bose_minus = bose_pair(es.eigenvalues, t)
     d = component_scalars(bose_plus, bose_minus, q)
     E = exterior_power_matrix(es.unitary, q)
-    return es, bose_plus, bose_minus, (E * d) @ E.conj().T
+    if stacked:
+        d = d[:, None, :]
+    return es, bose_plus, bose_minus, (E * d) @ E.conj().swapaxes(-1, -2)
+
+
+def _eta_node(p: CurvaturePoint, q: int, t: float, eta: float):
+    """_eta_nodes at the single node eta: (eigensystem, bose_plus, bose_minus, core)."""
+    return _eta_nodes(p, q, t, float(eta))
 
 
 def _finite_node(node_fn, p: CurvaturePoint, q: int, t: float, eta: float):
@@ -278,6 +304,21 @@ def tail_certificate(
     return math.exp(log_cert)
 
 
+def _two_sided_decay(p: CurvaturePoint, q: int) -> DecayReport:
+    """tail_decay at p, or DivergentIntegral unless it decays in both directions."""
+    rep = tail_decay(p.levi, q)
+    if not (rep.plus_decays and rep.minus_decays):
+        direction = {
+            (False, False): "both", (False, True): "+infinity", (True, False): "-infinity"
+        }[(rep.plus_decays, rep.minus_decays)]
+        raise DivergentIntegral(
+            f"integrand does not decay as eta -> {direction}; "
+            "use a truncation interval instead",
+            direction=direction,
+        )
+    return rep
+
+
 def _eta_integral(p: CurvaturePoint, q: int, t: float, delta, f, tol: float, width=None, cert_scale=1.0):
     """Eta-integral of the vectorized degree-q integrand f at the point p.
 
@@ -290,23 +331,12 @@ def _eta_integral(p: CurvaturePoint, q: int, t: float, delta, f, tol: float, wid
     integrand), drops below 1e-12 of the accumulated integral.
     """
     _check_time(t)
+    _check_delta(delta)
     dim = len(basis(p.n, q).indices)
-    if delta is not None:
-        if delta < 0:
-            raise InvalidArgument("delta must be nonnegative")
-        if delta == 0:
-            return np.zeros((dim, dim), dtype=complex)
-    else:
-        rep = tail_decay(p.levi, q)
-        if not (rep.plus_decays and rep.minus_decays):
-            direction = {
-                (False, False): "both", (False, True): "+infinity", (True, False): "-infinity"
-            }[(rep.plus_decays, rep.minus_decays)]
-            raise DivergentIntegral(
-                f"integrand does not decay as eta -> {direction}; "
-                "use a truncation interval instead",
-                direction=direction,
-            )
+    if delta == 0:
+        return np.zeros((dim, dim), dtype=complex)
+    if delta is None:
+        rep = _two_sided_decay(p, q)
     try:
         roots = p.pencil_roots
     except IdenticallyDegeneratePencil:

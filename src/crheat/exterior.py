@@ -108,14 +108,16 @@ def exterior_power_matrix(U: np.ndarray, q: int) -> np.ndarray:
 
     Entry (r, c) is det U[J_r, J_c].  All C(n,q)^2 minors are gathered
     into one (dim, dim, q, q) stack and taken with a single determinant
-    call; the index array is cached on the memoized basis.
+    call; the index array is cached on the memoized basis.  Leading axes
+    of U stack matrices, as with numpy's det, and the minors of the whole
+    stack go to that one call.
     """
-    n = U.shape[0]
+    n = U.shape[-1]
     b = basis(n, q)
     if q == 0:
-        return np.ones((1, 1), dtype=complex)
-    idx = b.positions
-    minors = U[idx[:, None, :, None], idx[None, :, None, :]]
+        return np.ones(U.shape[:-2] + (1, 1), dtype=complex)
+    rows, cols = b.positions[:, None, :, None], b.positions[None, :, None, :]
+    minors = U[rows, cols] if U.ndim == 2 else U[..., rows, cols]
     return np.linalg.det(minors.astype(complex, copy=False))
 
 

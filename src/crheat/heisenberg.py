@@ -10,12 +10,22 @@ exp(i*(theta_x - theta_y)*eta) produces the Heisenberg-group heat kernel.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import CurvaturePoint, _check_time, _eta_integral, _eta_node, _finite_node
+from .density import (
+    CurvaturePoint,
+    _check_delta,
+    _check_time,
+    _eta_integral,
+    _eta_node,
+    _eta_nodes,
+    _finite_node,
+    _two_sided_decay,
+)
 from .errors import InvalidArgument, NonFinite
 from .exterior import FormEndomorphism, basis
 from .hermitian import as_hermitian, bose_pair, eig_hermitian, tanh_ratio
@@ -76,7 +86,8 @@ def mehler_kernel(A, t: float, x, y) -> complex:
     with f = tanh_ratio(mu, 2t) and g+- = bose_ratio(+-mu, 2t).  Zero
     eigenvalues are handled by the guarded scalar limits (determinant
     factor 1/(2t)); for A = 0, n = 1 this reduces to the Euclidean kernel
-    exp(-|z-w|^2/(2t))/(4*pi*t) of mass one under dv = 2^n dx.
+    exp(-|z-w|^2/(2t))/(4*pi*t) of mass one under dv = 2^n dx.  A value
+    that overflows (t near the smallest double, say) raises NonFinite.
     """
     _check_time(t)
     Am = as_hermitian(A)
@@ -86,12 +97,16 @@ def mehler_kernel(A, t: float, x, y) -> complex:
     mu = es.eigenvalues
     ze = es.unitary.conj().T @ zx
     we = es.unitary.conj().T @ zy
-    f = tanh_ratio(mu, 2.0 * t)
-    gp, gm = bose_pair(mu, 2.0 * t)
-    pref = float(np.prod(gp))
-    cross = np.sum(we.conj() * gp * ze) + np.conj(np.sum(we.conj() * gm * ze))
-    expo = -np.sum(f * (np.abs(ze) ** 2 + np.abs(we) ** 2)) + cross
-    return (2.0 * math.pi) ** (-n) * pref * complex(np.exp(expo))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = tanh_ratio(mu, 2.0 * t)
+        gp, gm = bose_pair(mu, 2.0 * t)
+        pref = float(np.prod(gp))
+        cross = np.sum(we.conj() * gp * ze) + np.conj(np.sum(we.conj() * gm * ze))
+        expo = -np.sum(f * (np.abs(ze) ** 2 + np.abs(we) ** 2)) + cross
+        value = (2.0 * math.pi) ** (-n) * pref * complex(np.exp(expo))
+    if not cmath.isfinite(value):
+        raise NonFinite(f"Mehler kernel overflows at t={t!r}")
+    return value
 
 
 # (node, point) pairs per block of _fiber_values.  A block's temporaries
@@ -100,12 +115,18 @@ def mehler_kernel(A, t: float, x, y) -> complex:
 # points it serves, while a single point gets whole rounds in one block.
 _BLOCK_PAIRS = 4096
 
+# Exterior-minor entries (nodes * dim^2 * q^2) per block of _fiber_values:
+# the block's q x q minors are its largest temporary, 1 MB of complex
+# entries at this cap, so a high-degree kernel evaluates a few nodes per
+# block (one at n = 8, q = 4) while the small kernels take whole rounds.
+_BLOCK_MINORS = 1 << 16
+
 
 def _gaussian_block(z, ws, U, bp, bm, core, phase, adjoint: bool, out):
     """Fiber heat kernels of a block of nodes, from their node arrays.
 
     U, bp, bm and core stack, node by node, the eigenvectors of M(eta),
-    the Bose values b+- = bose(+-mu, t) and the core of _eta_node.  Entry
+    the Bose values b+- = bose(+-mu, t) and the core of _eta_nodes.  Entry
     [k, i] of out, shaped (len(U), len(ws), dim, dim), becomes
 
         exp(i*phase[k, i]) * (2*pi)^-n * g_k(z, ws[i]) * core_k
@@ -145,25 +166,20 @@ def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoin
 
     Entry [k, i] of the (len(etas), len(ws), dim, dim) result is the
     _gaussian_block entry of node etas[k] and point ws[i], with phase
-    gaps[i]*etas[k] (none when gaps is None).  Nodes are evaluated one at
-    a time, and assembled a block of _BLOCK_PAIRS node-point pairs at a
-    time.
+    gaps[i]*etas[k] (none when gaps is None).  The nodes go in blocks of
+    at most _BLOCK_PAIRS node-point pairs and _BLOCK_MINORS exterior-minor
+    entries, and each block is evaluated by one _eta_nodes call and
+    assembled by one _gaussian_block call.
     """
     etas = np.asarray(etas, dtype=float)
-    n, dim = p.n, math.comb(p.n, q)
+    dim = math.comb(p.n, q)
     out = np.empty((len(etas), len(ws), dim, dim), dtype=complex)
-    step = max(1, _BLOCK_PAIRS // max(1, len(ws)))
+    step = max(1, min(_BLOCK_PAIRS // max(1, len(ws)), _BLOCK_MINORS // max(1, (dim * q) ** 2)))
     for lo in range(0, len(etas), step):
         block = etas[lo : lo + step]
-        B = len(block)
-        U = np.empty((B, n, n), dtype=complex)
-        bp, bm = np.empty((B, n)), np.empty((B, n))
-        core = np.empty((B, dim, dim), dtype=complex)
-        for k, eta in enumerate(block):
-            es, bp[k], bm[k], core[k] = _eta_node(p, q, t, eta)
-            U[k] = es.unitary
+        es, bp, bm, core = _eta_nodes(p, q, t, block)
         phase = None if gaps is None else gaps[None, :] * block[:, None]
-        _gaussian_block(z, ws, U, bp, bm, core, phase, adjoint, out[lo : lo + B])
+        _gaussian_block(z, ws, es.unitary, bp, bm, core, phase, adjoint, out[lo : lo + len(block)])
     return out
 
 
@@ -235,6 +251,14 @@ def _group_kernel(p: CurvaturePoint, q: int, t: float, x: HeisenbergPoint, zs, t
     if not (np.isfinite(zs).all() and np.isfinite(thetas).all()):
         raise NonFinite("group point coordinates must be finite")
     zs = zs.reshape(-1, p.n)
+    if not len(zs):
+        # No integral to take, but the checks it would make.
+        _check_time(t)
+        _check_delta(delta)
+        dim = len(basis(p.n, q).indices)
+        if delta is None:
+            _two_sided_decay(p, q)
+        return np.zeros((0, dim, dim), dtype=complex)
     z = np.asarray(x.z, dtype=complex)
     gaps = (thetas - x.theta) if adjoint else (x.theta - thetas)
     width = math.pi / (4.0 * float(np.max(np.abs(gaps))) + 1.0) if np.any(gaps) else None

@@ -58,11 +58,12 @@ class HermitianForm:
         For arrays the library builds from validated forms, such as the
         pencil C - 2*eta*L of two symmetrized forms (conjugation and real
         scaling keep exact symmetry), where validating again would only
-        return the same array.
+        return the same array.  mat may carry leading stack axes, as a
+        stack of pencils at several eta does; n is its last dimension.
         """
         form = object.__new__(cls)
         mat.flags.writeable = False
-        form.n = mat.shape[0]
+        form.n = mat.shape[-1]
         form.mat = mat
         return form
 
@@ -89,13 +90,16 @@ def eig_hermitian(H) -> EigenSystem:
     """Eigendecomposition of a validated Hermitian matrix by LAPACK (eigh).
 
     Returns ascending eigenvalues and orthonormal column eigenvectors as
-    read-only arrays.  A LAPACK convergence failure raises NoConvergence.
+    read-only arrays.  A trusted form (HermitianForm.trusted) may stack
+    matrices along leading axes, which the results then share, as with
+    numpy's eigh.  A LAPACK convergence failure raises NoConvergence.
     """
     A = as_hermitian(H)
-    if A.shape[0] == 1:
+    if A.shape[-1] == 1:
         # The pair LAPACK returns, without the cost of eigh's Python wrapper;
         # the n = 1 kernels evaluate it tens of thousands of times.
-        vals, vecs = A.real.diagonal().copy(), np.ones((1, 1), dtype=complex)
+        vals = A.real.diagonal(axis1=-2, axis2=-1).copy()
+        vecs = np.ones(A.shape, dtype=complex)
     else:
         try:
             vals, vecs = np.linalg.eigh(A)

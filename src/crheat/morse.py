@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import curvature_point, density_diagonal, y_condition
+from .density import _check_delta, curvature_point, density_diagonal, y_condition
 from .errors import (
     DegreeOutOfRange,
     DivergentIntegral,
     EmptyDescriptor,
-    InvalidArgument,
     MixedDimension,
     NonFinite,
     NonHermitian,
@@ -143,15 +142,6 @@ def rx_partition(R, L) -> EtaPartition:
         neg, pos, zero = _signature_at(Rm, Lm, probe)
         cells.append(Cell(lo, hi, neg, pos, zero))
     return EtaPartition(tuple(roots), tuple(cells))
-
-
-def _check_delta(delta):
-    if delta is None:
-        return
-    if not math.isfinite(delta):
-        raise NonFinite("delta must be finite (None for the whole line)")
-    if delta < 0:
-        raise InvalidArgument("delta must be nonnegative")
 
 
 def _antiderivative(coeffs) -> np.ndarray:

@@ -155,15 +155,11 @@ def integrate_adaptive(
             children.append((lo, mid))
             children.append((mid, hi))
         child_vals, child_errs = rule(children)
-        for pos, i in enumerate(sorted(failing, reverse=True)):
-            panels[i : i + 1] = []
-            values[i : i + 1] = []
-            errors[i : i + 1] = []
-        panels.extend(children)
-        values.extend(child_vals)
-        errors.extend(child_errs)
-        order = sorted(range(len(panels)), key=lambda i: panels[i])
-        panels = [panels[i] for i in order]
-        values = [values[i] for i in order]
-        errors = [errors[i] for i in order]
+        # Each panel's two children take its place, from the right so that
+        # the indices still to come stay valid; panels stay in order.
+        for pos, i in sorted(enumerate(failing), key=lambda e: e[1], reverse=True):
+            pair = slice(2 * pos, 2 * pos + 2)
+            panels[i : i + 1] = children[pair]
+            values[i : i + 1] = child_vals[pair]
+            errors[i : i + 1] = child_errs[pair]
     raise MaxSubdivisions(f"adaptive quadrature did not converge within {max_rounds} rounds")

@@ -1,0 +1,63 @@
+"""The summary of tools/bench_pairs.py: medians, quartiles, ratios and pairs won."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "bench_pairs.py")
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _pairs(parent, change, metric):
+    return [{"parent": {metric: a}, "change": {metric: b}} for a, b in zip(parent, change)]
+
+
+def test_higher_is_better_gain():
+    parent = [40.0, 42.0, 44.0, 46.0, 48.0]
+    change = [70.0, 80.0, 75.0, 45.0, 90.0]
+    s = bench_pairs.summarize(_pairs(parent, change, "tp"), {"tp": "higher"}, {"tp": 0.25})["tp"]
+    assert s["parent"] == {"median": 44.0, "q1": 42.0, "q3": 46.0}
+    assert s["change"] == {"median": 75.0, "q1": 70.0, "q3": 80.0}
+    assert s["ratio_of_medians"] == pytest.approx(75.0 / 44.0)
+    assert s["pair_ratios"]["min"] == pytest.approx(45.0 / 46.0)
+    assert s["pair_ratios"]["max"] == pytest.approx(80.0 / 42.0)
+    assert s["pair_ratios"]["median"] == pytest.approx(70.0 / 40.0)
+    # 4 of 5 won is below nine tenths, so no gain holds despite the medians
+    assert (s["pairs"], s["pairs_won"], s["ties"]) == (5, 4, 0)
+    assert not s["gain_holds"] and s["within_bound"]
+
+
+def test_lower_is_better_and_ties():
+    parent = [10.0, 10.0, 12.0, 14.0]
+    change = [9.0, 10.0, 11.0, 13.0]
+    s = bench_pairs.summarize(_pairs(parent, change, "ms"), {"ms": "lower"})["ms"]
+    assert (s["pairs_won"], s["ties"]) == (3, 1)
+    assert "bound" not in s and not s["gain_holds"]
+    # all pairs won, but the medians (11 -> 10.5) are closer than the
+    # parent's interquartile range (10 .. 12.5)
+    s = bench_pairs.summarize(_pairs(parent, [9.0, 9.5, 11.5, 13.5], "ms"), {"ms": "lower"})["ms"]
+    assert s["pairs_won"] == 4 and s["parent"]["q3"] - s["parent"]["q1"] == pytest.approx(2.5)
+    assert not s["gain_holds"]
+    s = bench_pairs.summarize(_pairs(parent, [5.0, 6.0, 7.0, 8.0], "ms"), {"ms": "lower"})["ms"]
+    assert s["gain_holds"]
+
+
+def test_bound_and_missing_metrics():
+    pairs = _pairs([70.0, 70.0, 72.0], [77.5, 78.0, 79.0], "rss")
+    s = bench_pairs.summarize(pairs, {"rss": "lower", "tp": "higher"}, {"rss": 0.1, "tp": 0.25})
+    # 70 -> 78 MB is 11.4% worse, past a 10% bound; tp is in no pair
+    assert set(s) == {"rss"} and not s["rss"]["within_bound"]
+    pairs[0]["change"].pop("rss")
+    assert bench_pairs.summarize(pairs, {"rss": "lower"}) == {}
+    one = bench_pairs.summarize(_pairs([3.0], [2.0], "x"), {"x": "lower"})["x"]
+    assert one["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0} and one["gain_holds"]
+
+
+def test_run_argument_is_checked():
+    assert bench_pairs._parse_run("group_kernel:10") == ("group_kernel", 10)
+    for bad in ("group_kernel", "group_kernel:0", ":3", "cli_mix:x"):
+        with pytest.raises(Exception):
+            bench_pairs._parse_run(bad)

@@ -27,7 +27,7 @@ from crheat.errors import (
     NonRigidTruncation,
     OnSignatureBoundary,
 )
-from crheat.exterior import exp_endo
+from crheat.exterior import exp_endo, exterior_power_matrix
 from crheat.heisenberg import (
     HeisenbergPoint,
     boxeta_kernel,
@@ -35,7 +35,7 @@ from crheat.heisenberg import (
     heisenberg_kernel_batch,
     mehler_kernel,
 )
-from crheat.hermitian import bose_ratio
+from crheat.hermitian import HermitianForm, bose_pair, bose_ratio, eig_hermitian
 from crheat.oracles import reference_quadrature
 
 E = math.e
@@ -372,3 +372,32 @@ def test_certificate_validity_conditions():
 def test_diagonal_large_t_value():
     v = density_diagonal(P_INDEF, 1, 200.0)
     assert v.trace.real == pytest.approx((2 * math.pi) ** -3 * 2.0 / 3.0, rel=1e-3)
+
+
+def _node_by_itself(p, q, t, eta):
+    # every layer on the one 2-D pencil of this node
+    M = p.curvature.mat - (2.0 * eta) * p.levi.mat
+    es = eig_hermitian(HermitianForm.trusted(M))
+    bp, bm = bose_pair(es.eigenvalues, t)
+    d = density.component_scalars(bp, bm, q)
+    E = exterior_power_matrix(es.unitary, q)
+    return es.eigenvalues, es.unitary, bp, bm, (E * d) @ E.conj().T
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_stacked_nodes_equal_nodes_one_at_a_time(n, seed):
+    rng = np.random.default_rng(seed)
+    p = curvature_point(rand_herm(rng, n), rand_herm(rng, n))
+    etas = [*p.pencil_roots, 0.0, -0.0, 1e3, -1e3, *rng.uniform(-3.0, 3.0, 3)]
+    t = float(rng.uniform(0.05, 5.0))
+    for q in range(n + 1):
+        es, bp, bm, core = density._eta_nodes(p, q, t, etas)
+        stacked = [es.eigenvalues, es.unitary, bp, bm, core]
+        for k, eta in enumerate(etas):
+            single = density._eta_node(p, q, t, eta)
+            single = [single[0].eigenvalues, single[0].unitary, *single[1:]]
+            for a, b, c in zip(stacked, single, _node_by_itself(p, q, t, eta)):
+                assert a[k].shape == b.shape == c.shape
+                assert a[k].tobytes() == b.tobytes() == c.tobytes()

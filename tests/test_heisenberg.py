@@ -1,13 +1,15 @@
 """Mehler kernel, fixed-frequency fiber kernel, and the 3D group kernel."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from crheat import heisenberg
+from crheat import density, heisenberg
 from crheat.density import curvature_point, density_diagonal, density_integrand
-from crheat.errors import DivergentIntegral, NonFinite
+from crheat.errors import DivergentIntegral, InvalidArgument, NonFinite
 from crheat.heisenberg import (
     HeisenbergPoint,
     boxeta_kernel,
@@ -283,6 +285,86 @@ def test_mehler_input_validation():
     for x, y in (([math.nan, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, -math.inf])):
         with pytest.raises(NonFinite):
             mehler_kernel([[1.0]], 1.0, x, y)
+
+
+def test_mehler_overflow_is_non_finite():
+    # t near the smallest double: the guarded scalars overflow to inf, and
+    # the kernel used to come out as NaN or inf with a RuntimeWarning
+    cases = (([[1.0]], 1e-310, [0.1, 0.0], [0.2, 0.0]),
+             (np.diag([1.0, 2.0]), 1e-160, [0.1, 0, 0, 0], [0.1, 0, 0, 0]))
+    for A, t, x, y in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                mehler_kernel(A, t, x, y)
+
+
+def test_empty_batch_is_an_empty_array():
+    x = HeisenbergPoint((0.3j, -0.2), 0.1)
+    for delta in (2.0, None):
+        for adjoint in (False, True):
+            out = heisenberg_kernel_batch(P_INDEF, 1, 1.0, x, np.zeros((0, 2)), [], delta, adjoint)
+            assert out.shape == (0, 2, 2) and out.dtype == complex
+    x1 = HeisenbergPoint((0.0,), 0.0)
+    assert heisenberg_kernel_batch(P_CONVEX, 0, 1.0, x1, np.zeros((0, 1)), [], 2.0).shape == (0, 1, 1)
+    # the checks of a batch with points still apply
+    with pytest.raises(InvalidArgument):
+        heisenberg_kernel_batch(P_CONVEX, 0, -1.0, x1, np.zeros((0, 1)), [], 2.0)
+    with pytest.raises(InvalidArgument):
+        heisenberg_kernel_batch(P_CONVEX, 0, 1.0, x1, np.zeros((0, 1)), [], -2.0)
+    with pytest.raises(DivergentIntegral):
+        heisenberg_kernel_batch(P_CONVEX, 0, 1.0, x1, np.zeros((0, 1)), [], None)
+
+
+def test_one_point_round_takes_one_node_call_per_block(monkeypatch):
+    # n = 6, q = 3: the minor budget allows blocks of several nodes, and a
+    # round of a one-point kernel needs one eigensolve per block
+    n, q, dim = 6, 3, 20
+    B = min(heisenberg._BLOCK_PAIRS, heisenberg._BLOCK_MINORS // (dim * q) ** 2)
+    assert 1 < B
+    eig_calls, rounds = [], []
+    eig = density.eig_hermitian
+    fiber_values = heisenberg._fiber_values
+
+    def counted_eig(H):
+        eig_calls.append(1)
+        return eig(H)
+
+    def counted_round(p, q, t, etas, *rest):
+        before = len(eig_calls)
+        out = fiber_values(p, q, t, etas, *rest)
+        rounds.append((len(etas), len(eig_calls) - before))
+        return out
+
+    monkeypatch.setattr(density, "eig_hermitian", counted_eig)
+    monkeypatch.setattr(heisenberg, "_fiber_values", counted_round)
+    rng = np.random.default_rng(35)
+    p = curvature_point(rand_herm(rng, n), rand_herm(rng, n))
+    x = HeisenbergPoint(tuple(0.3 * rng.standard_normal(n)), 0.2)
+    y = HeisenbergPoint(tuple(0.3 * rng.standard_normal(n)), -0.1)
+    heisenberg_heat_kernel(p, q, 0.8, x, y, delta=2.0)
+    assert rounds and max(nodes for nodes, _ in rounds) > B
+    for nodes, calls in rounds:
+        assert calls <= math.ceil(nodes / B)
+
+
+def test_block_minor_budget_bounds_memory():
+    # n = 8, q = 4: each node has 70^2 minors of size 4x4 (1.25 MB), so a
+    # round of 45 nodes in one block would build 56 MB of minors; within
+    # the budget a block holds one node
+    rng = np.random.default_rng(36)
+    p = curvature_point(rand_herm(rng, 8), rand_herm(rng, 8))
+    etas = np.linspace(-2.0, 2.0, 45)
+    z = 0.3 * rng.standard_normal(8) + 0j
+    ws = (0.3 * rng.standard_normal((1, 8))).astype(complex)
+    tracemalloc.start()
+    try:
+        out = heisenberg._fiber_values(p, 4, 0.8, etas, z, ws, np.array([0.3]), False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1 MB of minors per block, plus the block's other temporaries
+    assert peak - out.nbytes <= 3 * 2**20, (peak, out.nbytes)
 
 
 def test_group_kernel_weighted_adjoint_symmetry():

@@ -122,3 +122,59 @@ def test_node_budget_stops_a_never_converging_integrand():
     with pytest.raises(MaxSubdivisions, match="nodes"):
         integrate_adaptive(noise, 0.0, 1e300, max_width=1.0)
     assert calls == []
+
+
+def _resorting_rounds(f, a, b, tol):
+    """Rounds of integrate_adaptive on a scalar integrand with the bookkeeping
+    it used to have: children appended, then all panels re-sorted."""
+    from crheat.quadrature import G7_WEIGHTS, GK_NODES, GK_WEIGHTS
+
+    def rule(panel_list):
+        pts = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * GK_NODES for lo, hi in panel_list])
+        vals = np.asarray(f(pts)).reshape(len(panel_list), 15)
+        ik, errs = [], []
+        for v, (lo, hi) in zip(vals, panel_list):
+            half = 0.5 * (hi - lo)
+            k = (v * GK_WEIGHTS).sum(axis=0) * half
+            ik.append(k)
+            errs.append(float(np.max(np.abs(k - (v * G7_WEIGHTS).sum(axis=0) * half))))
+        return ik, errs
+
+    panels = [(a, b)]
+    values, errors = rule(panels)
+    while True:
+        total = values[0] * 0.0
+        for v in values:
+            total = total + v
+        target = tol + tol * abs(float(total))
+        if sum(errors) <= target:
+            return total
+        failing = [i for i in range(len(panels)) if errors[i] > target * (panels[i][1] - panels[i][0]) / (b - a)]
+        children = [c for i in failing for c in ((panels[i][0], 0.5 * sum(panels[i])), (0.5 * sum(panels[i]), panels[i][1]))]
+        child_vals, child_errs = rule(children)
+        for i in reversed(failing):
+            del panels[i], values[i], errors[i]
+        panels, values, errors = panels + children, values + child_vals, errors + child_errs
+        order = sorted(range(len(panels)), key=lambda i: panels[i])
+        panels = [panels[i] for i in order]
+        values = [values[i] for i in order]
+        errors = [errors[i] for i in order]
+
+
+def test_spliced_refinement_matches_resorting():
+    # a refinement-heavy integrand (narrow peaks): children spliced into
+    # place give the bits and node sequence of appending and re-sorting
+    peaks = np.array([-1.7, -0.31, 0.05, 0.9, 1.42])
+
+    def recorder(log):
+        def f(x):
+            log.append(np.array(x))
+            return np.sum(1.0 / ((x[:, None] - peaks) ** 2 + 1e-5), axis=1)
+        return f
+
+    got, ref = [], []
+    value = integrate_adaptive(recorder(got), -2.0, 2.0, 1e-11, 1e-11)
+    expect = _resorting_rounds(recorder(ref), -2.0, 2.0, 1e-11)
+    assert len(got) == len(ref) > 8
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, ref))
+    assert np.float64(value).tobytes() == np.float64(expect).tobytes()
