@@ -27,8 +27,16 @@ from .errors import (
     OnSignatureBoundary,
     ZeroPolynomial,
 )
-from .exterior import FormEndomorphism, basis, exterior_power_matrix
-from .hermitian import HermitianForm, bose_pair, eig_hermitian, pencil_det_poly, pencil_real_roots
+from .exterior import FormEndomorphism, basis, check_degree, exterior_power_matrix
+from .hermitian import (
+    HermitianForm,
+    _check_time,
+    bose_pair,
+    eig_hermitian,
+    frobenius_norm,
+    pencil_det_poly,
+    pencil_real_roots,
+)
 from .quadrature import integrate_adaptive
 
 # Sharp bound for u*exp(-t*u)/(1-exp(-t*u)) once t*u >= 1.
@@ -106,12 +114,14 @@ def y_condition(levi_eigenvalues, q: int) -> bool:
     there are at least min(n+1-q, q+1) pairs of strictly opposite signs.
     Eigenvalues with |lambda| <= 1e-12 * max(1, ||lambda||_2) count as zero,
     the dead band of tail_decay, so Y(q) always implies two-sided decay.
+    A NaN or infinite eigenvalue raises NonFinite.
     """
     lam = list(levi_eigenvalues)
     n = len(lam)
-    if n < 1 or not 0 <= q <= n:
-        raise DegreeOutOfRange(f"degree q={q} outside 0..{n}")
-    dead = 1e-12 * max(1.0, float(np.linalg.norm(lam)))
+    check_degree(n, q)
+    if not np.isfinite(lam).all():
+        raise NonFinite("Levi eigenvalues must be finite")
+    dead = 1e-12 * max(1.0, frobenius_norm(lam))
     pos = sum(1 for v in lam if v > dead)
     neg = sum(1 for v in lam if v < -dead)
     same = max(n + 1 - q, q + 1)
@@ -131,10 +141,9 @@ def tail_decay(levi, q: int) -> DecayReport:
     """
     L = levi.mat if isinstance(levi, HermitianForm) else HermitianForm(levi).mat
     n = L.shape[0]
-    if not 0 <= q <= n:
-        raise DegreeOutOfRange(f"degree q={q} outside 0..{n}")
+    check_degree(n, q)
+    dead = 1e-12 * max(1.0, frobenius_norm(L))
     lam = np.array(eig_hermitian(L).eigenvalues)
-    dead = 1e-12 * max(1.0, float(np.linalg.norm(L)))
     lam[np.abs(lam) <= dead] = 0.0
     pos = int(np.sum(lam > 0))
     neg = int(np.sum(lam < 0))
@@ -169,11 +178,6 @@ def component_scalars(bose_plus: np.ndarray, bose_minus: np.ndarray, q: int) -> 
     if bose_plus.ndim > 1:
         bose_plus, bose_minus = bose_plus[..., None, :], bose_minus[..., None, :]
     return np.where(inside, bose_minus, bose_plus).prod(axis=-1)
-
-
-def _check_time(t: float):
-    if not t > 0:
-        raise InvalidArgument("t must be positive")
 
 
 def _check_delta(delta):
@@ -268,8 +272,16 @@ def tail_certificate(
     which this function evaluates in closed form (log-domain, so large
     t*||C||_F cannot overflow).  Returns inf when the validity condition
     fails; callers respond by enlarging H.  The bound is for the raw
-    integrand, without the (2*pi)^-(n+1) normalization.
+    integrand, without the (2*pi)^-(n+1) normalization.  A NaN or
+    infinite argument raises NonFinite, and a negative norm or t <= 0
+    InvalidArgument.
     """
+    check_degree(n, q)
+    if not all(map(math.isfinite, (curvature_norm, levi_norm, t, rate, H))):
+        raise NonFinite("tail certificate arguments must be finite")
+    _check_time(t)
+    if curvature_norm < 0.0 or levi_norm < 0.0:
+        raise InvalidArgument("norms must be nonnegative")
     if rate <= 0.0 or H <= 0.0:
         return math.inf
     if t * (rate * H - curvature_norm) < 1.0:
@@ -343,8 +355,8 @@ def _eta_integral(p: CurvaturePoint, q: int, t: float, delta, f, tol: float, wid
         roots = []
     if delta is not None:
         return integrate_adaptive(f, -delta, delta, tol, tol, interior_breaks=roots, max_width=width)
-    c_norm = float(np.linalg.norm(p.curvature.mat))
-    l_norm = float(np.linalg.norm(p.levi.mat))
+    c_norm = frobenius_norm(p.curvature.mat)
+    l_norm = frobenius_norm(p.levi.mat)
     H = 2.0 * (1.0 + (max(abs(r) for r in roots) if roots else 0.0))
     total = integrate_adaptive(f, -H, H, tol, tol, interior_breaks=roots, max_width=width)
     for _ in range(60):
@@ -380,29 +392,45 @@ def density_diagonal(p: CurvaturePoint, q: int, t: float, delta: float | None = 
     return FormEndomorphism(b, total * (2.0 * math.pi) ** (-(p.n + 1)))
 
 
+def _signature_at(R: np.ndarray, L: np.ndarray, eta: float):
+    """(negatives, positives, zeros) among the eigenvalues of M(eta) = R - 2*eta*L.
+
+    Eigenvalues with |mu| <= 1e-10 * ||M||_F count as zeros.
+    """
+    M = R - 2.0 * eta * L
+    mu = eig_hermitian(M).eigenvalues
+    dead = 1e-10 * frobenius_norm(M)
+    neg = int(np.sum(mu < -dead))
+    pos = int(np.sum(mu > dead))
+    return neg, pos, len(mu) - neg - pos
+
+
 def limit_integrand(p: CurvaturePoint, q: int, j: int, eta: float) -> float:
     """|det M(eta)| when M(eta) has exactly j negative and n-j positive eigenvalues, else 0.
 
     This is the pointwise t -> infinity limit of the degree-q integrand
     trace restricted to the signature-j region; the limit is nonzero only
     for q = j, and the value itself depends on j alone.  q is validated
-    for range and otherwise unused.
+    for range and otherwise unused.  A non-finite eta, or one where
+    |det M(eta)| is too large to represent, raises NonFinite.
     """
     n = p.n
-    if not 0 <= q <= n or not 0 <= j <= n:
-        raise DegreeOutOfRange(f"degree q={q} or j={j} outside 0..{n}")
+    check_degree(n, q)
+    check_degree(n, j, "j")
+    if not math.isfinite(eta):
+        raise NonFinite("eta must be finite")
     coeffs = np.asarray(p.det_poly)
     cmax = float(np.max(np.abs(coeffs)))
-    scale = cmax * max(1.0, abs(eta)) ** n
-    value = float(np.polynomial.polynomial.polyval(eta, coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = cmax * np.float64(max(1.0, abs(eta))) ** n
+        value = float(np.polynomial.polynomial.polyval(eta, coeffs))
+    if not (math.isfinite(scale) and math.isfinite(value)):
+        raise NonFinite(f"det M(eta) overflows at eta={eta!r}")
     if abs(value) < 1e-12 * scale:
         raise OnSignatureBoundary(f"eta={eta} is numerically on a pencil root")
-    M = p.curvature.mat - (2.0 * eta) * p.levi.mat
-    mu = eig_hermitian(M).eigenvalues
-    dead = 1e-10 * float(np.linalg.norm(M))
-    if np.any(np.abs(mu) <= dead):
+    negatives, _, zeros = _signature_at(p.curvature.mat, p.levi.mat, eta)
+    if zeros:
         raise OnSignatureBoundary(f"pencil eigenvalue within dead band at eta={eta}")
-    negatives = int(np.sum(mu < 0))
     if negatives == j:
         return abs(value)
     return 0.0

@@ -14,8 +14,9 @@ class CrheatError(Exception):
 
 class InvalidArgument(CrheatError, ValueError):
     """An argument is out of its domain: t <= 0, delta < 0, weight <= 0, a
-    reversed integration interval, or a point or batch whose dimension or
-    length disagrees with the data."""
+    degree or dimension that is not an integer (a bool or a float), a
+    reversed integration interval or a panel width <= 0, or a point or
+    batch whose dimension or length disagrees with the data."""
 
 
 class NonHermitian(CrheatError):
@@ -45,7 +46,8 @@ class UnknownFunction(CrheatError):
 
 
 class DegreeOutOfRange(CrheatError):
-    """Form degree q (or an index) is outside 0..n."""
+    """A form degree q or Morse degree j outside 0..n, a dimension n < 1, or
+    forms whose dimension disagrees with their point's n."""
 
 
 class PathMismatch(CrheatError):

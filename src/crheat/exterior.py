@@ -8,6 +8,7 @@ powers).  The multi-index basis is lexicographic everywhere in the library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -15,7 +16,7 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DegreeOutOfRange, PathMismatch
+from .errors import DegreeOutOfRange, InvalidArgument, NonFinite, PathMismatch
 from .hermitian import as_hermitian, eig_hermitian
 
 
@@ -60,14 +61,34 @@ class FormEndomorphism:
         return complex(np.trace(self.matrix))
 
 
-@lru_cache(maxsize=256)
+def check_degree(n, q, name: str = "q") -> None:
+    """The one check of a form degree q (or Morse degree j) in dimension n.
+
+    Both must be integers, bool excepted (numpy integers are fine), with
+    n >= 1 and 0 <= q <= n.  A non-integer raises InvalidArgument and an
+    integer out of range DegreeOutOfRange; name is the degree's name in
+    the message.
+    """
+    for v in (n, q):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise InvalidArgument(f"dimension and degree must be integers, got {v!r}")
+    if n < 1:
+        raise DegreeOutOfRange(f"n out of range (n >= 1), got n={n}")
+    if not 0 <= q <= n:
+        raise DegreeOutOfRange(f"{name} out of range (0 <= {name} <= {n})")
+
+
+@lru_cache(maxsize=256, typed=True)
 def basis(n: int, q: int) -> MultiIndexBasis:
     """The ordered multi-index basis of (0,q) components in dimension n.
 
     Memoized: every caller asking for (n, q) shares one immutable basis.
+    The memo is keyed by argument type as well, and only a call that
+    passes check_degree stores an entry, so a bool or float degree is
+    never answered from the entry of an integer that compares equal.
     """
-    if n < 1 or not 0 <= q <= n:
-        raise DegreeOutOfRange(f"degree q={q} outside 0..{n} (n={n})")
+    check_degree(n, q)
+    n, q = int(n), int(q)
     return MultiIndexBasis(n, q, tuple(combinations(range(1, n + 1), q)))
 
 
@@ -129,17 +150,23 @@ def exp_endo(M, q: int, t: float) -> FormEndomorphism:
     exp(-t * sum(mu_J)) by the exterior power of the eigenvector matrix.
     The two must agree to 1e-8 relative to the result norm, otherwise the
     sign conventions drifted and PathMismatch is raised.  Path (b) is
-    returned.
+    returned.  A non-finite t raises NonFinite, and so does a t for which
+    the exponential is too large to represent (path (b) is formed first,
+    so the dense exponential never sees such a t).
     """
+    if not math.isfinite(t):
+        raise NonFinite("t must be finite")
     Mm = as_hermitian(M)
     omega = omega_endomorphism(Mm, q)
-    path_a = expm(-t * omega.matrix)
     es = eig_hermitian(Mm)
     E = exterior_power_matrix(es.unitary, q)
     sums = omega.basis.membership @ es.eigenvalues
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         d = np.exp(-t * sums)
-    path_b = (E * d) @ E.conj().T
+        path_b = (E * d) @ E.conj().T
+    if not np.isfinite(path_b).all():
+        raise NonFinite(f"exp(-t*omega) overflows at t={t!r}")
+    path_a = expm(-t * omega.matrix)
     scale = max(1.0, float(np.max(np.abs(path_b))))
     if float(np.max(np.abs(path_a - path_b))) > 1e-8 * scale:
         raise PathMismatch(

@@ -19,7 +19,6 @@ import numpy as np
 from .density import (
     CurvaturePoint,
     _check_delta,
-    _check_time,
     _eta_integral,
     _eta_node,
     _eta_nodes,
@@ -28,7 +27,7 @@ from .density import (
 )
 from .errors import InvalidArgument, NonFinite
 from .exterior import FormEndomorphism, basis
-from .hermitian import as_hermitian, bose_pair, eig_hermitian, tanh_ratio
+from .hermitian import _check_time, as_hermitian, bose_pair, eig_hermitian, tanh_ratio
 
 
 @dataclass(frozen=True)
@@ -262,11 +261,11 @@ def _group_kernel(p: CurvaturePoint, q: int, t: float, x: HeisenbergPoint, zs, t
     z = np.asarray(x.z, dtype=complex)
     gaps = (thetas - x.theta) if adjoint else (x.theta - thetas)
     width = math.pi / (4.0 * float(np.max(np.abs(gaps))) + 1.0) if np.any(gaps) else None
-    lz, lw = _quadratic_forms(p.levi.mat, z, zs)
-    cz, cw = _quadratic_forms(p.curvature.mat, z, zs)
-    if adjoint:
-        lz, lw, cz, cw = lw, lz, cw, cz
     with np.errstate(over="ignore", invalid="ignore"):
+        lz, lw = _quadratic_forms(p.levi.mat, z, zs)
+        cz, cw = _quadratic_forms(p.curvature.mat, z, zs)
+        if adjoint:
+            lz, lw, cz, cw = lw, lz, cw, cz
         pref = np.exp(0.5 * p.beta * gaps + 0.5j * p.beta * (lw - lz) + 0.5 * (cz - cw))
     if not np.isfinite(pref).all():
         raise NonFinite("kernel prefactor overflows: the points are too far from the origin")

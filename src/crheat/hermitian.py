@@ -9,12 +9,14 @@ call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     NoConvergence,
     NonFinite,
     NonHermitian,
@@ -69,6 +71,15 @@ class HermitianForm:
 
     def __repr__(self):
         return f"HermitianForm(n={self.n})"
+
+
+def frobenius_norm(a) -> float:
+    """||a||_F (the 2-norm of a vector), NonFinite when it overflows."""
+    with np.errstate(over="ignore"):
+        v = float(np.linalg.norm(a))
+    if not math.isfinite(v):
+        raise NonFinite("matrix norm overflows: entries too large")
+    return v
 
 
 def as_hermitian(H) -> np.ndarray:
@@ -151,8 +162,25 @@ def _as_float_array(mu):
     return a, a.ndim == 0
 
 
+def _check_time(t: float):
+    if not t > 0:
+        raise InvalidArgument("t must be positive")
+
+
+def _scalar_args(mu, t: float):
+    """mu as a float array and whether it was a scalar, for finite mu and t > 0."""
+    x, scalar = _as_float_array(mu)
+    if not (math.isfinite(t) and np.isfinite(x).all()):
+        raise NonFinite("mu and t must be finite")
+    _check_time(t)
+    return x, scalar
+
+
 def bose_pair(mu, t: float):
-    """(bose_ratio(mu, t), bose_ratio(-mu, t)) from one pass over t*mu."""
+    """(bose_ratio(mu, t), bose_ratio(-mu, t)) from one pass over t*mu.
+
+    The node evaluator's form: mu and t are not checked.
+    """
     x, scalar = _as_float_array(mu)
     plus, minus = _bose_pair_of_x(t * x)
     plus, minus = plus / t, minus / t
@@ -160,13 +188,20 @@ def bose_pair(mu, t: float):
 
 
 def bose_ratio(mu, t: float):
-    """mu / (1 - exp(-t*mu)) with the mu = 0 limit 1/t."""
+    """mu / (1 - exp(-t*mu)) with the mu = 0 limit 1/t.
+
+    NonFinite for a NaN or infinite mu or t, InvalidArgument for t <= 0.
+    """
+    _scalar_args(mu, t)
     return bose_pair(mu, t)[0]
 
 
 def tanh_ratio(mu, t: float):
-    """(mu/2) / tanh(t*mu/2) with the mu = 0 limit 1/t.  Even in mu."""
-    x, scalar = _as_float_array(mu)
+    """(mu/2) / tanh(t*mu/2) with the mu = 0 limit 1/t.  Even in mu.
+
+    Arguments are checked as in bose_ratio.
+    """
+    x, scalar = _scalar_args(mu, t)
     u = t * x / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
         series = 1.0 + u**2 / 3.0 - u**4 / 45.0 + 2.0 * u**6 / 945.0
@@ -229,9 +264,12 @@ def pencil_real_roots(p) -> list[float]:
 
     Companion-matrix candidates (numpy polyroots) are polished by bisection,
     with a damped Newton fallback for even-multiplicity roots where no sign
-    change brackets the candidate.
+    change brackets the candidate.  A NaN or infinite coefficient raises
+    NonFinite.
     """
     coeffs = np.asarray(p, dtype=float)
+    if not np.isfinite(coeffs).all():
+        raise NonFinite("polynomial coefficients must be finite")
     if coeffs.size == 0 or not np.any(coeffs != 0.0):
         raise ZeroPolynomial("polynomial is identically zero")
     cmax = float(np.max(np.abs(coeffs)))

@@ -16,16 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _check_delta, curvature_point, density_diagonal, y_condition
+from .density import _check_delta, _signature_at, curvature_point, density_diagonal, y_condition
 from .errors import (
-    DegreeOutOfRange,
     DivergentIntegral,
     EmptyDescriptor,
     MixedDimension,
     NonFinite,
     NonHermitian,
 )
-from .hermitian import eig_hermitian, pencil_det_poly
+from .exterior import check_degree
+from .hermitian import eig_hermitian, frobenius_norm, pencil_det_poly
 
 
 class _DivergentType:
@@ -75,7 +75,6 @@ class ManifoldDescriptor:
 
     name: str
     points: tuple
-    q_max: int | None = None
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -107,15 +106,6 @@ class MorseReport:
     feasibility: tuple
 
 
-def _signature_at(R: np.ndarray, L: np.ndarray, eta: float):
-    M = R - 2.0 * eta * L
-    mu = eig_hermitian(M).eigenvalues
-    dead = 1e-10 * float(np.linalg.norm(M))
-    neg = int(np.sum(mu < -dead))
-    pos = int(np.sum(mu > dead))
-    return neg, pos, len(mu) - neg - pos
-
-
 def rx_partition(R, L) -> EtaPartition:
     """Split the eta-line at the pencil roots and record each cell's signature.
 
@@ -125,7 +115,7 @@ def rx_partition(R, L) -> EtaPartition:
     Rm = np.asarray(R, dtype=complex)
     Lm = np.asarray(L, dtype=complex)
     roots = curvature_point(Rm, Lm).pencil_roots
-    span = 1.0 + float(np.linalg.norm(Rm)) / max(1.0, float(np.linalg.norm(Lm)))
+    span = 1.0 + frobenius_norm(Rm) / max(1.0, frobenius_norm(Lm))
     cells = []
     if not roots:
         neg, pos, zero = _signature_at(Rm, Lm, 0.0)
@@ -162,9 +152,7 @@ def morse_local(R, L, j: int, delta: float | None = None):
     """
     Rm = np.asarray(R, dtype=complex)
     Lm = np.asarray(L, dtype=complex)
-    n = Rm.shape[0]
-    if not 0 <= j <= n:
-        raise DegreeOutOfRange(f"degree j={j} outside 0..{n}")
+    check_degree(Rm.shape[0], j, "j")
     _check_delta(delta)
     coeffs = pencil_det_poly(Rm, Lm)
     part = rx_partition(Rm, Lm)
@@ -203,9 +191,7 @@ def morse_global(d: ManifoldDescriptor, q: int, delta: float | None = None) -> M
     inequalities assume it).  delta is checked as in morse_local.
     """
     n = d.n
-    cap = n if d.q_max is None else min(n, d.q_max)
-    if not 0 <= q <= cap:
-        raise DegreeOutOfRange(f"degree q={q} outside 0..{cap}")
+    check_degree(n, q)
     norm = (2.0 * math.pi) ** (-(n + 1))
     weak = []
     feasible = []
@@ -250,10 +236,7 @@ def heat_trace(d: ManifoldDescriptor, q: int, t: float, delta: float | None = No
     DivergentIntegral propagated.  Traces must be real up to a 1e-10
     relative imaginary residue, which is checked and discarded.
     """
-    n = d.n
-    cap = n if d.q_max is None else min(n, d.q_max)
-    if not 0 <= q <= cap:
-        raise DegreeOutOfRange(f"degree q={q} outside 0..{cap}")
+    check_degree(d.n, q)
     out = []
     last_error = None
     for j in range(q + 1):

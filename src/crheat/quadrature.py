@@ -38,10 +38,13 @@ GK_NODES = np.array([row[0] for row in _GK])
 GK_WEIGHTS = np.array([row[1] for row in _GK])
 G7_WEIGHTS = np.array([row[2] for row in _GK])
 
+# Refinement rounds one integrate_adaptive call may make.
+MAX_ROUNDS = 60
+
 # Integrand evaluations one integrate_adaptive call may make, counting the
 # initial panels.  The library's own integrals stay far below it (see
 # CHANGES.md); an integrand that never converges reaches it within a
-# dozen rounds, where max_rounds alone would allow exponential growth.
+# dozen rounds, where MAX_ROUNDS alone would allow exponential growth.
 MAX_NODES = 50_000
 
 
@@ -70,7 +73,6 @@ def integrate_adaptive(
     tol_rel: float = 1e-9,
     interior_breaks=(),
     max_width: float | None = None,
-    max_rounds: int = 60,
 ):
     """Integrate a vectorized integrand over [a, b].
 
@@ -80,13 +82,16 @@ def integrate_adaptive(
     max_width caps the initial panel width for oscillatory integrands.
     Returns the accumulated value; the combined Kronrod-vs-Gauss error is
     driven below tol_abs + tol_rel * |result|.  Raises InvalidArgument
-    for b < a; NonFinite for an infinite limit, when f returns a NaN or
-    infinite value at any node, or when a panel sum or the total
-    overflows; and MaxSubdivisions when max_rounds refinement rounds do
-    not reach the tolerance or the rounds would exceed MAX_NODES nodes.
+    for b < a or a max_width that is not positive (NaN included);
+    NonFinite for an infinite limit, when f returns a NaN or infinite
+    value at any node, or when a panel sum or the total overflows; and
+    MaxSubdivisions when MAX_ROUNDS refinement rounds do not reach the
+    tolerance or the rounds would exceed MAX_NODES nodes.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise NonFinite("integration limits must be finite")
+    if max_width is not None and not max_width > 0:
+        raise InvalidArgument("max_width must be positive")
     if not b > a:
         if b == a:
             return 0.0
@@ -125,7 +130,7 @@ def integrate_adaptive(
 
     values, errors = rule(panels)
     total_width = b - a
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         with np.errstate(over="ignore", invalid="ignore"):
             total = values[0] * 0.0
             for v in values:
@@ -162,4 +167,4 @@ def integrate_adaptive(
             panels[i : i + 1] = children[pair]
             values[i : i + 1] = child_vals[pair]
             errors[i : i + 1] = child_errs[pair]
-    raise MaxSubdivisions(f"adaptive quadrature did not converge within {max_rounds} rounds")
+    raise MaxSubdivisions(f"adaptive quadrature did not converge within {MAX_ROUNDS} rounds")

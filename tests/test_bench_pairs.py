@@ -1,4 +1,4 @@
-"""The summary of tools/bench_pairs.py: medians, quartiles, ratios and pairs won."""
+"""tools/bench_pairs.py: medians, quartiles, ratios and pairs won, and the failures it records."""
 
 import importlib.util
 import os
@@ -61,3 +61,20 @@ def test_run_argument_is_checked():
     for bad in ("group_kernel", "group_kernel:0", ":3", "cli_mix:x"):
         with pytest.raises(Exception):
             bench_pairs._parse_run(bad)
+
+
+def test_failures_count_errored_runs_and_failed_ops():
+    pairs = [
+        {"seed": 5, "parent": {"attempted": 100, "failed": 0, "metrics": {}},
+         "change": {"attempted": 90, "failed": 3, "metrics": {}}},
+        {"seed": 6, "parent": {"exit": 1, "error": "perfbench exited with 1"},
+         "change": {"attempted": 110, "failed": 1, "metrics": {}}},
+    ]
+    f = bench_pairs.failures(pairs)
+    assert f["parent"] == {"errored_seeds": [6], "failed_ops": 0, "attempted_ops": 100,
+                           "failed_share": 0.0}
+    assert f["change"] == {"errored_seeds": [], "failed_ops": 4, "attempted_ops": 200,
+                           "failed_share": 0.02}
+    only_errors = [{"seed": 7, "parent": {"error": "x"}, "change": {"error": "y"}}]
+    assert bench_pairs.failures(only_errors)["change"] == {
+        "errored_seeds": [7], "failed_ops": 0, "attempted_ops": 0, "failed_share": None}

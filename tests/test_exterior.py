@@ -1,10 +1,15 @@
 """Multi-index bases, wedge-contract endomorphisms, and the two exponential paths."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import crheat
 from crheat.errors import DegreeOutOfRange
 from crheat.exterior import basis, exp_endo, exterior_power_matrix, omega_endomorphism
 from crheat.hermitian import eig_hermitian
@@ -39,6 +44,52 @@ def test_basis_degree_range():
         basis(3, 4)
     with pytest.raises(DegreeOutOfRange):
         basis(3, -1)
+
+
+# Run in a fresh interpreter each, since basis is memoized for the process.
+_MEMO_SCRIPT = """
+import sys
+import numpy as np
+from crheat import basis, curvature_point, density_diagonal
+from crheat.errors import CrheatError
+
+p = curvature_point(np.diag([-1.0, 1.0]), np.eye(2))
+
+
+def reject_hostile_degrees():
+    for call in (lambda: basis(2, True), lambda: basis(2, 1.0),
+                 lambda: density_diagonal(p, 1.5, 1.0, 2.0)):
+        try:
+            call()
+        except CrheatError:
+            continue
+        sys.exit("no CrheatError")
+
+
+q = np.int64(1) if sys.argv[1] == "int64" else 1
+if sys.argv[1] == "hostile":
+    reject_hostile_degrees()
+value = density_diagonal(p, q, 1.0, 2.0).matrix
+if sys.argv[1] == "hostile":
+    # again, now that the memo holds the entry of the integer 1
+    reject_hostile_degrees()
+sys.stdout.write(value.tobytes().hex())
+"""
+
+
+def test_rejected_degrees_leave_the_basis_memo_clean():
+    src = str(pathlib.Path(crheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(mode):
+        proc = subprocess.run([sys.executable, "-c", _MEMO_SCRIPT, mode], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    fresh = run("fresh")
+    assert run("hostile") == fresh
+    assert run("int64") == fresh
 
 
 def test_membership_subset_sums_match_manual():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crheat import quadrature
 from crheat.errors import InvalidArgument, MaxSubdivisions, NonFinite
 from crheat.quadrature import MAX_NODES, integrate_adaptive, subdivide_width
 
@@ -85,13 +86,14 @@ def test_infinite_limits_raise():
             integrate_adaptive(np.cos, a, b)
 
 
-def test_round_budget_exhaustion_is_typed():
+def test_round_budget_exhaustion_is_typed(monkeypatch):
     def f(x):
         return np.sin(40.0 * x)
 
     assert integrate_adaptive(f, 0.0, 3.0) == pytest.approx((1.0 - np.cos(120.0)) / 40.0, abs=1e-9)
+    monkeypatch.setattr(quadrature, "MAX_ROUNDS", 1)
     with pytest.raises(MaxSubdivisions):
-        integrate_adaptive(f, 0.0, 3.0, max_rounds=1)
+        integrate_adaptive(f, 0.0, 3.0)
 
 
 def test_overflowing_panel_sums_raise():

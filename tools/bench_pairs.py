@@ -16,7 +16,10 @@ BENCH_<tag>.json, at the root of this checkout and rewritten after every
 pair, holds the machine facts, the revisions, the seeds, every pair's
 metrics and correctness, and per workload and metric the medians and
 quartiles of both sides, the change/parent ratios and the pairs won (see
-summarize).
+summarize), and per workload and side the runs that errored and the
+failed and attempted ops (see failures).  A pair in which either side
+errored has no metrics to compare, so the summary leaves it out and
+counts it in pairs_left_out.
 """
 
 from __future__ import annotations
@@ -86,6 +89,27 @@ def summarize(pairs, better, bounds=None):
             entry["bound"] = bounds[metric]
             entry["within_bound"] = worse <= bounds[metric]
         out[metric] = entry
+    return out
+
+
+def failures(pairs):
+    """Per side of pairs (as in BENCH_<tag>.json): errored runs and failed ops.
+
+    errored_seeds lists the seeds of the runs that produced no result;
+    failed_ops and attempted_ops add up the runs that did, and
+    failed_share is their ratio (None when no op was attempted).
+    """
+    out = {}
+    for side in ("parent", "change"):
+        runs = [p[side] for p in pairs]
+        failed = sum(r.get("failed", 0) for r in runs)
+        attempted = sum(r.get("attempted", 0) for r in runs)
+        out[side] = {
+            "errored_seeds": [p["seed"] for p in pairs if "error" in p[side]],
+            "failed_ops": failed,
+            "attempted_ops": attempted,
+            "failed_share": failed / attempted if attempted else None,
+        }
     return out
 
 
@@ -173,6 +197,8 @@ def main(argv=None) -> int:
                 entry["summary"] = summarize(
                     [{"parent": p["parent"]["metrics"], "change": p["change"]["metrics"]} for p in ok],
                     better, bounds)
+                entry["pairs_left_out"] = len(entry["pairs"]) - len(ok)
+                entry["failures"] = failures(entry["pairs"])
                 entry["seeds"] = [p["seed"] for p in entry["pairs"]]
                 with open(out_path, "w", encoding="utf-8") as f:
                     json.dump(report, f, indent=1)
