@@ -27,7 +27,7 @@ from .errors import (
     OnSignatureBoundary,
     ZeroPolynomial,
 )
-from .exterior import FormEndomorphism, basis, check_degree, exterior_power_matrix
+from .exterior import FormEndomorphism, _exterior_power, basis, check_degree
 from .hermitian import (
     HermitianForm,
     _check_time,
@@ -209,7 +209,7 @@ def _eta_nodes(p: CurvaturePoint, q: int, t: float, etas):
     es = eig_hermitian(HermitianForm.trusted(M))
     bose_plus, bose_minus = bose_pair(es.eigenvalues, t)
     d = component_scalars(bose_plus, bose_minus, q)
-    E = exterior_power_matrix(es.unitary, q)
+    E = _exterior_power(es.unitary, q)
     if stacked:
         d = d[:, None, :]
     return es, bose_plus, bose_minus, (E * d) @ E.conj().swapaxes(-1, -2)

@@ -124,14 +124,12 @@ def omega_endomorphism(M, q: int) -> FormEndomorphism:
     return FormEndomorphism(b, out)
 
 
-def exterior_power_matrix(U: np.ndarray, q: int) -> np.ndarray:
-    """q-fold exterior power of U on the lexicographic basis (q x q minors).
+def _exterior_power(U: np.ndarray, q: int) -> np.ndarray:
+    """exterior_power_matrix without its checks: the eta-node path's form.
 
-    Entry (r, c) is det U[J_r, J_c].  All C(n,q)^2 minors are gathered
-    into one (dim, dim, q, q) stack and taken with a single determinant
-    call; the index array is cached on the memoized basis.  Leading axes
-    of U stack matrices, as with numpy's det, and the minors of the whole
-    stack go to that one call.
+    U must be a finite (stack of) square matrix; all C(n,q)^2 minors are
+    gathered into one (..., dim, dim, q, q) stack and taken with a single
+    determinant call, and the index array is cached on the memoized basis.
     """
     n = U.shape[-1]
     b = basis(n, q)
@@ -140,6 +138,27 @@ def exterior_power_matrix(U: np.ndarray, q: int) -> np.ndarray:
     rows, cols = b.positions[:, None, :, None], b.positions[None, :, None, :]
     minors = U[rows, cols] if U.ndim == 2 else U[..., rows, cols]
     return np.linalg.det(minors.astype(complex, copy=False))
+
+
+def exterior_power_matrix(U, q: int) -> np.ndarray:
+    """q-fold exterior power of U on the lexicographic basis (q x q minors).
+
+    Entry (r, c) is det U[J_r, J_c].  Leading axes of U stack matrices,
+    as with numpy's det, and the minors of the whole stack go to one
+    determinant call.  A U that is not a (stack of) square matrix raises
+    InvalidArgument; a NaN or infinite entry, or minors that overflow,
+    raise NonFinite.
+    """
+    U = np.asarray(U)
+    if U.ndim < 2 or U.shape[-1] != U.shape[-2]:
+        raise InvalidArgument(f"expected a square matrix or a stack of them, got shape {U.shape}")
+    if not np.isfinite(U).all():
+        raise NonFinite("U must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _exterior_power(U, q)
+    if not np.isfinite(E).all():
+        raise NonFinite(f"exterior power overflows at q={q}")
+    return E
 
 
 def exp_endo(M, q: int, t: float) -> FormEndomorphism:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,12 +122,33 @@ _BLOCK_PAIRS = 4096
 _BLOCK_MINORS = 1 << 16
 
 
-def _gaussian_block(z, ws, U, bp, bm, core, phase, adjoint: bool, out):
-    """Fiber heat kernels of a block of nodes, from their node arrays.
+class _GaussianFrame(NamedTuple):
+    """The arrays of a node (or a stack of nodes) that its fiber kernels read.
 
-    U, bp, bm and core stack, node by node, the eigenvectors of M(eta),
-    the Bose values b+- = bose(+-mu, t) and the core of _eta_nodes.  Entry
-    [k, i] of out, shaped (len(U), len(ws), dim, dim), becomes
+    Uc = conj(U) for the eigenvectors U of M(eta); neg_f = -f with
+    f = (b+ + b-)/2 = tanh_ratio(mu, t); v = b- - b+; core = (2*pi)^-n
+    times the core of _eta_nodes.  See _gaussian_block for the formula.
+    """
+
+    Uc: np.ndarray
+    neg_f: np.ndarray
+    v: np.ndarray
+    core: np.ndarray
+
+
+def _node_frame(U, bp, bm, core) -> _GaussianFrame:
+    """The Gaussian frame of the node arrays (es.unitary, b+, b-, core) of _eta_nodes."""
+    scale = (2.0 * math.pi) ** (-U.shape[-1])
+    return _GaussianFrame(U.conj(), -((bp + bm) / 2.0), bm - bp, core * scale)
+
+
+def _gaussian_block(z, ws, frame: _GaussianFrame, phase, adjoint: bool, out):
+    """Fiber heat kernels of a block of nodes, from their stacked frame.
+
+    The frame's arrays stack, node by node, what _node_frame makes of the
+    eigenvectors U of M(eta), the Bose values b+- = bose(+-mu, t) and the
+    core of _eta_nodes.  Entry [k, i] of out, shaped
+    (len(frame.Uc), len(ws), dim, dim), becomes
 
         exp(i*phase[k, i]) * (2*pi)^-n * g_k(z, ws[i]) * core_k
 
@@ -141,23 +163,35 @@ def _gaussian_block(z, ws, U, bp, bm, core, phase, adjoint: bool, out):
     adjoint conjugates g; phase None leaves out the phase.  The Gaussian
     factors of the block are built together as batched matrix products,
     with the phase folded into the exponent, so each (node, point) pair
-    costs one complex exponential.
+    costs one complex exponential.  _gaussian_one is the same arithmetic
+    for one node and one point.
     """
-    scale = (2.0 * math.pi) ** (-U.shape[-1])
-    Uc = U.conj()
-    ze = z @ Uc
-    we = ws @ Uc
+    ze = z @ frame.Uc
+    we = ws @ frame.Uc
     d = ze[:, None, :] - we
-    f = (bp + bm) / 2.0
-    re = (d.real**2 + d.imag**2) @ -f[:, :, None]
+    re = (d.real**2 + d.imag**2) @ frame.neg_f[:, :, None]
     # (b+ - b-).Im(conj(we) ze) = Im(we . conj(ze (b- - b+))); the
     # adjoint conjugates g, which flips the sign of the imaginary part.
-    v = bp - bm if adjoint else bm - bp
+    v = -frame.v if adjoint else frame.v
     im = (we @ (ze * v).conj()[:, :, None]).imag
     if phase is not None:
         im = im + phase[:, :, None]
     g = np.exp(re + 1j * im)
-    np.multiply(g[:, :, :, None], (core * scale)[:, None], out=out)
+    np.multiply(g[:, :, :, None], frame.core[:, None], out=out)
+
+
+def _gaussian_one(z, w, frame: _GaussianFrame) -> np.ndarray:
+    """_gaussian_block for one node and one point, without phase or adjoint.
+
+    The same operations in the same order on unstacked arrays, so the
+    value has the bits of the block's entry; a new (dim, dim) array.
+    """
+    ze = z @ frame.Uc
+    we = w @ frame.Uc
+    d = ze - we
+    re = (d.real**2 + d.imag**2) @ frame.neg_f
+    im = (we @ (ze * frame.v).conj()).imag
+    return np.exp(re + 1j * im) * frame.core
 
 
 def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoint: bool):
@@ -178,35 +212,56 @@ def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoin
         block = etas[lo : lo + step]
         es, bp, bm, core = _eta_nodes(p, q, t, block)
         phase = None if gaps is None else gaps[None, :] * block[:, None]
-        _gaussian_block(z, ws, es.unitary, bp, bm, core, phase, adjoint, out[lo : lo + len(block)])
+        _gaussian_block(z, ws, _node_frame(es.unitary, bp, bm, core), phase, adjoint,
+                        out[lo : lo + len(block)])
     return out
 
 
-def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float):
-    """_eta_node(p, q, t, eta), kept on p as its one boxeta_kernel memo entry.
+# Cap on |z| * |w| * max(|f|, |v|) in a boxeta_kernel exponent: each of
+# its sums of n such terms then stays far below the float64 overflow.
+_EXPONENT_CAP = 1e300
+
+
+def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float, z, w) -> _GaussianFrame:
+    """The Gaussian frame of _eta_node(p, q, t, eta), kept on p as its one boxeta_kernel memo entry.
 
     Callers sweep boxeta_kernel over z at a fixed (q, t, eta), so the
-    last node is kept on the point, next to its cached det_poly and
-    pencil_roots, and reused while the key compares equal.  Every array
-    of the node is read-only.  The key and the node are stored and read
-    as one tuple, so concurrent callers can at worst recompute a node.
+    frame (see _node_frame) of the last node is kept on the point, next
+    to its cached det_poly and pencil_roots, and reused while the key
+    compares equal.  Every array of the frame is read-only.  The entry
+    also keeps the node's coordinate bound
+    sqrt(_EXPONENT_CAP / max(1, max|f|, max|v|)): z and w must be below
+    it in modulus, which one comparison each tells, and a NaN fails it
+    too.  Otherwise NonFinite is raised, and a miss stores nothing.  The
+    key, frame and bound are stored and read as one tuple, so concurrent
+    callers can at worst recompute a node.
     """
     key = (q, t, eta)
     entry = p.__dict__.get("_boxeta_node")
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    node = _finite_node(_eta_node, p, q, t, eta)
-    for a in node[1:]:
-        a.flags.writeable = False
-    p.__dict__["_boxeta_node"] = (key, node)
-    return node
+    hit = entry is not None and entry[0] == key
+    if not hit:
+        es, bp, bm, core = _finite_node(_eta_node, p, q, t, eta)
+        frame = _node_frame(es.unitary, bp, bm, core)
+        for a in frame:
+            a.flags.writeable = False
+        scale = max(1.0, float(np.max(np.abs(frame.neg_f))), float(np.max(np.abs(frame.v))))
+        entry = (key, frame, math.sqrt(_EXPONENT_CAP / scale))
+    bound = entry[2]
+    if not (np.abs(z).max() < bound and np.abs(w).max() < bound):
+        raise NonFinite(f"points must be finite and below {bound:.3g} in modulus at eta={eta!r}")
+    if not hit:
+        p.__dict__["_boxeta_node"] = entry
+    return entry[1]
 
 
 def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> KernelValue:
     """Heat kernel of the frequency-eta fiber operator between z and w in C^n.
 
-    The node at (q, t, eta) is memoized on p (see _memo_node), so a sweep
-    over z or w at one frequency evaluates it once.
+    The node's Gaussian frame at (q, t, eta) is memoized on p (see
+    _memo_node), so a sweep over z or w at one frequency evaluates the
+    node once and each call pays only for the forms in z and w.  A NaN
+    or infinite eta, or a coordinate that is not finite or past the
+    node's bound, raises NonFinite.
     """
     _check_time(t)
     b = basis(p.n, q)
@@ -215,12 +270,9 @@ def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> Kern
     w = np.asarray(w, dtype=complex).ravel()
     if z.size != p.n or w.size != p.n:
         raise InvalidArgument("point dimension does not match the curvature data")
-    if not (math.isfinite(eta) and np.isfinite(z).all() and np.isfinite(w).all()):
-        raise NonFinite("frequency and points must be finite")
-    es, bp, bm, core = _memo_node(p, q, t, eta)
-    out = np.empty((1, 1) + core.shape, dtype=complex)
-    _gaussian_block(z, w[None], es.unitary[None], bp[None], bm[None], core[None], None, False, out)
-    return KernelValue(FormEndomorphism(b, out[0, 0]))
+    if not math.isfinite(eta):
+        raise NonFinite("frequency must be finite")
+    return KernelValue(FormEndomorphism(b, _gaussian_one(z, w, _memo_node(p, q, t, eta, z, w))))
 
 
 def _quadratic_forms(mat, z, w):

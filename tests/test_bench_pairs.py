@@ -78,3 +78,18 @@ def test_failures_count_errored_runs_and_failed_ops():
     only_errors = [{"seed": 7, "parent": {"error": "x"}, "change": {"error": "y"}}]
     assert bench_pairs.failures(only_errors)["change"] == {
         "errored_seeds": [7], "failed_ops": 0, "attempted_ops": 0, "failed_share": None}
+
+
+def test_ops_per_run_medians_and_quartiles():
+    pairs = [
+        {"seed": 1, "parent": {"attempted": 1164}, "change": {"attempted": 1488}},
+        {"seed": 2, "parent": {"attempted": 1200}, "change": {"error": "perfbench exited with 1"}},
+        {"seed": 3, "parent": {"attempted": 1100}, "change": {"attempted": 1500}},
+        {"seed": 4, "parent": {"attempted": 1300}, "change": {"attempted": 1400}},
+    ]
+    ops = bench_pairs.ops_per_run(pairs)
+    assert ops["parent"] == {"median": 1182.0, "q1": 1148.0, "q3": 1225.0, "runs": 4}
+    # the errored run has no op count and is left out
+    assert ops["change"] == {"median": 1488, "q1": 1444.0, "q3": 1494.0, "runs": 3}
+    assert bench_pairs.ops_per_run([{"seed": 5, "parent": {"error": "x"}, "change": {"attempted": 7}}]) == {
+        "parent": None, "change": {"median": 7, "q1": 7, "q3": 7, "runs": 1}}

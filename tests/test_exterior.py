@@ -5,13 +5,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import crheat
-from crheat.errors import DegreeOutOfRange
-from crheat.exterior import basis, exp_endo, exterior_power_matrix, omega_endomorphism
+from crheat.errors import DegreeOutOfRange, InvalidArgument, NonFinite
+from crheat.exterior import _exterior_power, basis, exp_endo, exterior_power_matrix, omega_endomorphism
 from crheat.hermitian import eig_hermitian
 
 
@@ -193,3 +194,23 @@ def test_exterior_power_matches_minor_loop():
             got = exterior_power_matrix(u, q)
             assert got.shape == (math.comb(n, q),) * 2
             assert np.array_equal(got, _minor_loop(u, q))
+
+
+def test_exterior_power_checks_its_input_and_the_node_form_does_not():
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    # the checked entry and the eta-node path's unchecked form give the same bits
+    assert np.array_equal(exterior_power_matrix(u, 2), _exterior_power(u, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (0, 2):
+            for bad in (math.nan, math.inf):
+                v = u[0].copy()
+                v[1, 2] = bad
+                with pytest.raises(NonFinite):
+                    exterior_power_matrix(v, q)
+        with pytest.raises(NonFinite):
+            exterior_power_matrix(np.full((2, 2), 1e200) + np.diag([1e200, 0.0]), 2)
+        for shape in ((3,), (2, 3), (2, 3, 2)):
+            with pytest.raises(InvalidArgument):
+                exterior_power_matrix(np.ones(shape), 1)

@@ -1,6 +1,10 @@
 """Mehler kernel, fixed-frequency fiber kernel, and the 3D group kernel."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -152,8 +156,9 @@ def test_boxeta_memo_misses_on_any_key_change(monkeypatch):
 def test_boxeta_memo_arrays_are_read_only():
     p = curvature_point(np.diag([0.6, -0.2]), np.diag([1.0, 0.7]))
     boxeta_kernel(p, 0.3, 1, 0.7, [0.1, 0.2j], [0.0, 0.1])
-    es, bp, bm, core = heisenberg._memo_node(p, 1, 0.7, 0.3)
-    for a in (es.eigenvalues, es.unitary, bp, bm, core):
+    frame = heisenberg._memo_node(p, 1, 0.7, 0.3, np.array([0.1, 0.2j]), np.array([0.0, 0.1]))
+    assert frame is vars(p)["_boxeta_node"][1]
+    for a in (frame.Uc, frame.neg_f, frame.v, frame.core):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
@@ -162,6 +167,48 @@ def test_boxeta_memo_arrays_are_read_only():
     kv.matrix[0, 0] = 0.0
     again = boxeta_kernel(p, 0.3, 1, 0.7, [0.1, 0.2j], [0.0, 0.1])
     assert again.matrix[0, 0] != 0.0
+
+
+# The kernel a fresh interpreter gives for the sweep's last call.
+_FRESH_SCRIPT = """
+import sys
+import numpy as np
+from crheat import boxeta_kernel, curvature_point
+
+p = curvature_point(np.diag([0.6, -0.2]), np.diag([1.0, 0.7]))
+kv = boxeta_kernel(p, 0.3, 1, 0.7, np.array([0.1 + 0.2j, -0.3j]), np.array([0.2, 0.1j]))
+sys.stdout.write(kv.matrix.tobytes().hex())
+"""
+
+
+def test_boxeta_bad_coordinates_in_a_sweep_raise_and_keep_the_memo():
+    # a coordinate past the node's bound, or NaN, ends in NonFinite with
+    # no warning; the memo entry survives, and the next valid call has
+    # the bits of a fresh process
+    p = curvature_point(np.diag([0.6, -0.2]), np.diag([1.0, 0.7]))
+    z, w = np.array([0.1 + 0.2j, -0.3j]), np.array([0.2, 0.1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        boxeta_kernel(p, 0.3, 1, 0.7, [0.4, 0.1j], w)
+        entry = vars(p)["_boxeta_node"]
+        for bad in ([1e160, 0.0], [0.0, complex(math.nan, 1.0)], [0.0, 1e300j], [math.inf, 0.0]):
+            with pytest.raises(NonFinite):
+                boxeta_kernel(p, 0.3, 1, 0.7, bad, w)
+            with pytest.raises(NonFinite):
+                boxeta_kernel(p, 0.3, 1, 0.7, z, bad)
+            assert vars(p)["_boxeta_node"] is entry
+        got = boxeta_kernel(p, 0.3, 1, 0.7, z, w).matrix
+        # a huge frequency lowers the node's bound: 1e60 is past it
+        far = curvature_point(np.diag([0.6, -0.2]), np.diag([1.0, 0.7]))
+        with pytest.raises(NonFinite):
+            boxeta_kernel(far, 1e200, 1, 0.7, [1e60, 0.0], w)
+        assert "_boxeta_node" not in vars(far)
+        assert np.isfinite(boxeta_kernel(far, 1e200, 1, 0.7, [1.0, 0.0], w).matrix).all()
+    src = str(pathlib.Path(heisenberg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_SCRIPT], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert got.tobytes().hex() == proc.stdout
 
 
 def test_boxeta_sweeps_of_two_points_in_alternation():

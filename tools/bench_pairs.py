@@ -17,9 +17,10 @@ pair, holds the machine facts, the revisions, the seeds, every pair's
 metrics and correctness, and per workload and metric the medians and
 quartiles of both sides, the change/parent ratios and the pairs won (see
 summarize), and per workload and side the runs that errored and the
-failed and attempted ops (see failures).  A pair in which either side
-errored has no metrics to compare, so the summary leaves it out and
-counts it in pairs_left_out.
+failed and attempted ops (see failures) and the median and quartiles
+of the ops attempted per run (see ops_per_run).  A pair in which either
+side errored has no metrics to compare, so the summary leaves it out
+and counts it in pairs_left_out.
 """
 
 from __future__ import annotations
@@ -113,6 +114,25 @@ def failures(pairs):
     return out
 
 
+def ops_per_run(pairs):
+    """Per side of pairs: median and quartiles of the ops each run attempted.
+
+    The benchmark worker keeps every op's record until its run ends, so
+    peak_rss_mb grows with the op count; these let an RSS move be read
+    against the op growth.  Runs that errored are left out, and a side
+    with no run left gets None.
+    """
+    out = {}
+    for side in ("parent", "change"):
+        ops = [p[side]["attempted"] for p in pairs if "attempted" in p[side]]
+        if not ops:
+            out[side] = None
+            continue
+        q1, q3 = _quartiles(ops)
+        out[side] = {"median": statistics.median(ops), "q1": q1, "q3": q3, "runs": len(ops)}
+    return out
+
+
 def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE,
                           text=True).stdout.strip()
@@ -199,6 +219,7 @@ def main(argv=None) -> int:
                     better, bounds)
                 entry["pairs_left_out"] = len(entry["pairs"]) - len(ok)
                 entry["failures"] = failures(entry["pairs"])
+                entry["ops_per_run"] = ops_per_run(entry["pairs"])
                 entry["seeds"] = [p["seed"] for p in entry["pairs"]]
                 with open(out_path, "w", encoding="utf-8") as f:
                     json.dump(report, f, indent=1)
