@@ -11,6 +11,7 @@ exp(i*(theta_x - theta_y)*eta) produces the Heisenberg-group heat kernel.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,7 +29,14 @@ from .density import (
 )
 from .errors import InvalidArgument, NonFinite
 from .exterior import FormEndomorphism, basis
-from .hermitian import _check_time, as_hermitian, bose_pair, eig_hermitian, tanh_ratio
+from .hermitian import (
+    HermitianForm,
+    _check_time,
+    as_hermitian,
+    bose_pair,
+    eig_hermitian,
+    tanh_ratio,
+)
 
 
 @dataclass(frozen=True)
@@ -73,6 +81,29 @@ def _split_complex(x, n: int) -> np.ndarray:
     return x[0::2] + 1j * x[1::2]
 
 
+@functools.lru_cache(maxsize=4)
+def _mehler_frame(data: bytes, shape: tuple, t: float):
+    """What mehler_kernel needs of its matrix at time t, kept for a few (A, t).
+
+    From the complex entries (data, shape) of A: the order n, U^H for the
+    eigenvectors U of the validated A, f = tanh_ratio(mu, 2t), the pair
+    bose_pair(mu, 2t) and (2*pi)^-n * prod(bose(mu, 2t)), the arrays
+    read-only.  A matrix that fails validation raises and is not kept.
+    """
+    Am = as_hermitian(np.frombuffer(data, dtype=complex).reshape(shape))
+    n = Am.shape[0]
+    es = eig_hermitian(Am)
+    mu = es.eigenvalues
+    uh = es.unitary.conj().T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = tanh_ratio(mu, 2.0 * t)
+        gp, gm = bose_pair(mu, 2.0 * t)
+        scale = (2.0 * math.pi) ** (-n) * float(np.prod(gp))
+    for a in (uh, f, gp, gm):
+        a.flags.writeable = False
+    return n, uh, f, gp, gm, scale
+
+
 def mehler_kernel(A, t: float, x, y) -> complex:
     """Mehler heat kernel of the harmonic-oscillator-type operator driven by A.
 
@@ -88,37 +119,37 @@ def mehler_kernel(A, t: float, x, y) -> complex:
     factor 1/(2t)); for A = 0, n = 1 this reduces to the Euclidean kernel
     exp(-|z-w|^2/(2t))/(4*pi*t) of mass one under dv = 2^n dx.  A value
     that overflows (t near the smallest double, say) raises NonFinite.
+    The eigensystem and scalars of the last few (A, t) are memoized (see
+    _mehler_frame), so a sweep over x and y at one (A, t) validates and
+    diagonalizes A once; the kernel shares no code with boxeta_kernel,
+    which it checks.
     """
     _check_time(t)
-    Am = as_hermitian(A)
-    n = Am.shape[0]
+    a = A.mat if isinstance(A, HermitianForm) else np.asarray(A, dtype=complex)
+    n, uh, f, gp, gm, scale = _mehler_frame(a.tobytes(), a.shape, float(t))
     zx, zy = _split_complex(x, n), _split_complex(y, n)
-    es = eig_hermitian(Am)
-    mu = es.eigenvalues
-    ze = es.unitary.conj().T @ zx
-    we = es.unitary.conj().T @ zy
+    ze = uh @ zx
+    we = uh @ zy
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f = tanh_ratio(mu, 2.0 * t)
-        gp, gm = bose_pair(mu, 2.0 * t)
-        pref = float(np.prod(gp))
         cross = np.sum(we.conj() * gp * ze) + np.conj(np.sum(we.conj() * gm * ze))
         expo = -np.sum(f * (np.abs(ze) ** 2 + np.abs(we) ** 2)) + cross
-        value = (2.0 * math.pi) ** (-n) * pref * complex(np.exp(expo))
+        value = scale * complex(np.exp(expo))
     if not cmath.isfinite(value):
         raise NonFinite(f"Mehler kernel overflows at t={t!r}")
     return value
 
 
-# (node, point) pairs per block of _fiber_values.  A block's temporaries
-# have about this many entries (times n), so peak memory stays near the
-# size of the output however many nodes a round has and however many
-# points it serves, while a single point gets whole rounds in one block.
+# Node-point pairs per Gaussian sub-block of _fiber_values.  A sub-block's
+# temporaries have about this many entries (times n), so peak memory
+# stays near the size of the output however many points a round serves,
+# while a one-point kernel assembles whole node stacks at once.
 _BLOCK_PAIRS = 4096
 
-# Exterior-minor entries (nodes * dim^2 * q^2) per block of _fiber_values:
-# the block's q x q minors are its largest temporary, 1 MB of complex
-# entries at this cap, so a high-degree kernel evaluates a few nodes per
-# block (one at n = 8, q = 4) while the small kernels take whole rounds.
+# Entries per node stack of _fiber_values, counting a node's exterior
+# minors (dim^2 * q^2) or, at q = 0, its n x n eigenvectors: the q x q
+# minors are a stack's largest temporary, 1 MB of complex entries at this
+# cap, so a high-degree kernel evaluates a few nodes per stack (one at
+# n = 8, q = 4) while the small kernels take whole rounds in one stack.
 _BLOCK_MINORS = 1 << 16
 
 
@@ -199,21 +230,25 @@ def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoin
 
     Entry [k, i] of the (len(etas), len(ws), dim, dim) result is the
     _gaussian_block entry of node etas[k] and point ws[i], with phase
-    gaps[i]*etas[k] (none when gaps is None).  The nodes go in blocks of
-    at most _BLOCK_PAIRS node-point pairs and _BLOCK_MINORS exterior-minor
-    entries, and each block is evaluated by one _eta_nodes call and
-    assembled by one _gaussian_block call.
+    gaps[i]*etas[k] (none when gaps is None).  The nodes go in stacks of
+    at most _BLOCK_MINORS entries, each evaluated by one _eta_nodes call,
+    and a stack's frame is assembled by _gaussian_block in slices of at
+    most _BLOCK_PAIRS node-point pairs.
     """
     etas = np.asarray(etas, dtype=float)
     dim = math.comb(p.n, q)
     out = np.empty((len(etas), len(ws), dim, dim), dtype=complex)
-    step = max(1, min(_BLOCK_PAIRS // max(1, len(ws)), _BLOCK_MINORS // max(1, (dim * q) ** 2)))
-    for lo in range(0, len(etas), step):
-        block = etas[lo : lo + step]
-        es, bp, bm, core = _eta_nodes(p, q, t, block)
-        phase = None if gaps is None else gaps[None, :] * block[:, None]
-        _gaussian_block(z, ws, _node_frame(es.unitary, bp, bm, core), phase, adjoint,
-                        out[lo : lo + len(block)])
+    stack = max(1, _BLOCK_MINORS // max(p.n, dim * q) ** 2)
+    step = max(1, _BLOCK_PAIRS // max(1, len(ws)))
+    for lo in range(0, len(etas), stack):
+        nodes = etas[lo : lo + stack]
+        es, bp, bm, core = _eta_nodes(p, q, t, nodes)
+        frame = _node_frame(es.unitary, bp, bm, core)
+        for k in range(0, len(nodes), step):
+            block = nodes[k : k + step]
+            phase = None if gaps is None else gaps[None, :] * block[:, None]
+            _gaussian_block(z, ws, _GaussianFrame(*(a[k : k + step] for a in frame)), phase, adjoint,
+                            out[lo + k : lo + k + len(block)])
     return out
 
 
@@ -230,11 +265,12 @@ def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float, z, w) -> _Gaussi
     to its cached det_poly and pencil_roots, and reused while the key
     compares equal.  Every array of the frame is read-only.  The entry
     also keeps the node's coordinate bound
-    sqrt(_EXPONENT_CAP / max(1, max|f|, max|v|)): z and w must be below
-    it in modulus, which one comparison each tells, and a NaN fails it
-    too.  Otherwise NonFinite is raised, and a miss stores nothing.  The
-    key, frame and bound are stored and read as one tuple, so concurrent
-    callers can at worst recompute a node.
+    sqrt(_EXPONENT_CAP / max(1, max|f|, max|v|)): each coordinate of z
+    and w must be below it in modulus, which one comparison per
+    coordinate tells, and a NaN or infinite one fails it too.  Otherwise
+    NonFinite is raised, and a miss stores nothing.  The key, frame and
+    bound are stored and read as one tuple, so concurrent callers can at
+    worst recompute a node.
     """
     key = (q, t, eta)
     entry = p.__dict__.get("_boxeta_node")
@@ -247,7 +283,11 @@ def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float, z, w) -> _Gaussi
         scale = max(1.0, float(np.max(np.abs(frame.neg_f))), float(np.max(np.abs(frame.v))))
         entry = (key, frame, math.sqrt(_EXPONENT_CAP / scale))
     bound = entry[2]
-    if not (np.abs(z).max() < bound and np.abs(w).max() < bound):
+    try:
+        below = all(abs(v) < bound for v in z.tolist()) and all(abs(v) < bound for v in w.tolist())
+    except OverflowError:  # Python's abs of a complex past the largest double
+        below = False
+    if not below:
         raise NonFinite(f"points must be finite and below {bound:.3g} in modulus at eta={eta!r}")
     if not hit:
         p.__dict__["_boxeta_node"] = entry

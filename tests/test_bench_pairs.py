@@ -93,3 +93,22 @@ def test_ops_per_run_medians_and_quartiles():
     assert ops["change"] == {"median": 1488, "q1": 1444.0, "q3": 1494.0, "runs": 3}
     assert bench_pairs.ops_per_run([{"seed": 5, "parent": {"error": "x"}, "change": {"attempted": 7}}]) == {
         "parent": None, "change": {"median": 7, "q1": 7, "q3": 7, "runs": 1}}
+
+
+def _run(ops, rss):
+    return {"attempted": ops, "failed": 0, "metrics": {"peak_rss_mb": rss}}
+
+
+def test_rss_per_kop_slope_over_both_sides():
+    # an exact line, 60 MB + 11.5 KB per op, through both sides' runs
+    line = [(1100, 1400), (1200, 1500), (1000, 1450)]
+    pairs = [{"seed": k, "parent": _run(a, 60 + 0.0115 * a), "change": _run(b, 60 + 0.0115 * b)}
+             for k, (a, b) in enumerate(line)]
+    pairs.append({"seed": 9, "parent": {"error": "perfbench exited with 1"}, "change": _run(1300, 0.0)})
+    pairs[-1]["change"]["metrics"] = {}  # a run without the metric is left out too
+    got = bench_pairs.rss_per_kop(pairs)
+    assert got["runs"] == 6 and got["mb_per_kop"] == pytest.approx(11.5, rel=1e-9)
+    # constant op counts, or fewer than 3 runs, give no slope
+    flat = [{"seed": k, "parent": _run(1200, 70.0 + k), "change": _run(1200, 71.0)} for k in range(3)]
+    assert bench_pairs.rss_per_kop(flat) == {"mb_per_kop": None, "runs": 6}
+    assert bench_pairs.rss_per_kop(pairs[:1]) == {"mb_per_kop": None, "runs": 2}

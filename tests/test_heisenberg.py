@@ -13,7 +13,7 @@ import pytest
 
 from crheat import density, heisenberg
 from crheat.density import curvature_point, density_diagonal, density_integrand
-from crheat.errors import DivergentIntegral, InvalidArgument, NonFinite
+from crheat.errors import DivergentIntegral, InvalidArgument, NonFinite, NonHermitian
 from crheat.heisenberg import (
     HeisenbergPoint,
     boxeta_kernel,
@@ -21,6 +21,7 @@ from crheat.heisenberg import (
     heisenberg_kernel_batch,
     mehler_kernel,
 )
+from crheat.hermitian import HermitianForm
 
 P_INDEF = curvature_point(np.diag([-1.0, 1.0]), np.eye(2))
 P_CONVEX = curvature_point([[1.0]], [[1.0]])
@@ -191,12 +192,24 @@ def test_boxeta_bad_coordinates_in_a_sweep_raise_and_keep_the_memo():
         warnings.simplefilter("error")
         boxeta_kernel(p, 0.3, 1, 0.7, [0.4, 0.1j], w)
         entry = vars(p)["_boxeta_node"]
-        for bad in ([1e160, 0.0], [0.0, complex(math.nan, 1.0)], [0.0, 1e300j], [math.inf, 0.0]):
+        # each coordinate is checked: in the last five only the second is bad,
+        # the last one past the largest double in modulus
+        bads = ([1e160, 0.0], [0.0, complex(math.nan, 1.0)], [0.0, 1e300j], [math.inf, 0.0],
+                [0.4, math.nan], [0.4, -math.inf], [0.4j, 1e160], [0.4, 1e160j],
+                [0.4, complex(1.5e308, 1.5e308)])
+        for bad in bads:
             with pytest.raises(NonFinite):
                 boxeta_kernel(p, 0.3, 1, 0.7, bad, w)
             with pytest.raises(NonFinite):
                 boxeta_kernel(p, 0.3, 1, 0.7, z, bad)
             assert vars(p)["_boxeta_node"] is entry
+            # on a miss nothing is stored
+            miss = curvature_point(p.curvature, p.levi)
+            with pytest.raises(NonFinite):
+                boxeta_kernel(miss, 0.3, 1, 0.7, bad, w)
+            with pytest.raises(NonFinite):
+                boxeta_kernel(miss, 0.3, 1, 0.7, z, bad)
+            assert "_boxeta_node" not in vars(miss)
         got = boxeta_kernel(p, 0.3, 1, 0.7, z, w).matrix
         # a huge frequency lowers the node's bound: 1e60 is past it
         far = curvature_point(np.diag([0.6, -0.2]), np.diag([1.0, 0.7]))
@@ -346,6 +359,56 @@ def test_mehler_overflow_is_non_finite():
                 mehler_kernel(A, t, x, y)
 
 
+# A Mehler kernel of a fresh interpreter, for a hit of the memo to match.
+_FRESH_MEHLER = """
+import sys
+import numpy as np
+from crheat import mehler_kernel
+
+a = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])
+v = mehler_kernel(a, 0.6, np.array([0.1, -0.3, 0.2, 0.4]), np.array([0.5, 0.1, -0.2, 0.3]))
+sys.stdout.write(np.complex128(v).tobytes().hex())
+"""
+
+
+def test_mehler_memo_hits_misses_and_bad_matrices():
+    a = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])
+    x, y = np.array([0.1, -0.3, 0.2, 0.4]), np.array([0.5, 0.1, -0.2, 0.3])
+    heisenberg._mehler_frame.cache_clear()
+
+    def misses():
+        return heisenberg._mehler_frame.cache_info().misses
+
+    mehler_kernel(a, 0.6, y, x)
+    assert misses() == 1
+    got = mehler_kernel(a.copy(), 0.6, x, y)  # equal entries: a hit
+    assert misses() == 1
+    mehler_kernel(a, 0.61, x, y)  # t changes
+    assert misses() == 2
+    b = a.copy()
+    b[0, 0] = np.nextafter(0.7, 1.0)  # one entry changes by one ulp
+    mehler_kernel(b, 0.6, x, y)
+    assert misses() == 3
+    mehler_kernel(HermitianForm(a), 0.6, x, y)  # a form is keyed on its matrix
+    assert misses() == 3
+    # a bad matrix of the same shape raises on every call, and is not kept
+    nan = a.copy()
+    nan[1, 0] = math.nan
+    skew = a.copy()
+    skew[1, 0] = 0.3
+    for bad, err in ((nan, NonFinite), (skew, NonHermitian)):
+        for _ in range(2):
+            mehler_kernel(a, 0.6, x, y)
+            with pytest.raises(err):
+                mehler_kernel(bad, 0.6, x, y)
+    assert heisenberg._mehler_frame.cache_info().currsize <= 4
+    src = str(pathlib.Path(heisenberg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MEHLER], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert np.complex128(got).tobytes().hex() == proc.stdout
+
+
 def test_empty_batch_is_an_empty_array():
     x = HeisenbergPoint((0.3j, -0.2), 0.1)
     for delta in (2.0, None):
@@ -412,6 +475,80 @@ def test_block_minor_budget_bounds_memory():
         tracemalloc.stop()
     # 1 MB of minors per block, plus the block's other temporaries
     assert peak - out.nbytes <= 3 * 2**20, (peak, out.nbytes)
+
+
+def test_batch_round_takes_one_node_call_per_stack(monkeypatch):
+    # the node stacks are capped by the minor budget alone, so a 441-point
+    # grid slice evaluates each round's nodes in one call however many
+    # Gaussian sub-blocks its points need
+    calls, rounds = [], []
+    eta_nodes, fiber_values = heisenberg._eta_nodes, heisenberg._fiber_values
+
+    def counted_nodes(*args):
+        calls.append(1)
+        return eta_nodes(*args)
+
+    def counted_round(p, q, t, etas, *rest):
+        before = len(calls)
+        out = fiber_values(p, q, t, etas, *rest)
+        rounds.append((len(etas), len(calls) - before))
+        return out
+
+    monkeypatch.setattr(heisenberg, "_eta_nodes", counted_nodes)
+    monkeypatch.setattr(heisenberg, "_fiber_values", counted_round)
+    zax = np.arange(-2.0, 2.05, 0.2)
+    zs = (zax[:, None] + 1j * zax[None, :]).reshape(-1, 1)
+    assert len(zs) == 441
+    x = HeisenbergPoint((0.3 - 0.2j,), 0.1)
+    heisenberg_kernel_batch(P_CONVEX, 0, 0.5, x, zs, np.full(441, 0.75), 6.0)
+    assert max(nodes for nodes, _ in rounds) > heisenberg._BLOCK_PAIRS // 441
+    assert all(calls == 1 for _, calls in rounds)
+    rounds.clear()
+    rng = np.random.default_rng(37)
+    p = curvature_point(rand_herm(rng, 3), rand_herm(rng, 3))
+    zs3 = 0.5 * (rng.standard_normal((441, 3)) + 1j * rng.standard_normal((441, 3)))
+    x3 = HeisenbergPoint((0.1, 0.2j, -0.1), 0.0)
+    heisenberg_kernel_batch(p, 1, 0.5, x3, zs3, rng.uniform(-1, 1, 441), 2.0)
+    stack = heisenberg._BLOCK_MINORS // (3 * 1) ** 2
+    assert rounds and all(calls == math.ceil(nodes / stack) for nodes, calls in rounds)
+
+
+def _kernel_bits(p, q, n, rng_seed):
+    """Bytes (or the error type) of batch and pointwise kernels at p, degree q."""
+    rng = np.random.default_rng(rng_seed)
+    x = HeisenbergPoint(tuple(0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))), 0.2)
+    zs = 0.5 * (rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n)))
+    ths = rng.uniform(-1.5, 1.5, 5)
+    out = []
+    for delta in (3.0, None):
+        for adjoint in (False, True):
+            try:
+                out.append(heisenberg_kernel_batch(p, q, 0.7, x, zs, ths, delta, adjoint).tobytes())
+            except DivergentIntegral:
+                out.append("divergent")
+        y = HeisenbergPoint(tuple(zs[0]), float(ths[0]))
+        try:
+            out.append(heisenberg_heat_kernel(p, q, 0.7, x, y, delta).matrix.tobytes())
+        except DivergentIntegral:
+            out.append("divergent")
+    return out
+
+
+def test_small_caps_give_the_bits_of_the_default_caps(monkeypatch):
+    # tiny caps cut every round into many node stacks, and each stack into
+    # ragged Gaussian sub-blocks; no value may change by a bit
+    rng = np.random.default_rng(38)
+    for n in (1, 2, 3):
+        p = curvature_point(rand_herm(rng, n), rand_herm(rng, n) + 2.5 * np.eye(n))
+        for q in range(n + 1):
+            want = _kernel_bits(p, q, n, 100 * n + q)
+            with monkeypatch.context() as m:
+                m.setattr(heisenberg, "_BLOCK_PAIRS", 7)
+                m.setattr(heisenberg, "_BLOCK_MINORS", 40)
+                got = _kernel_bits(p, q, n, 100 * n + q)
+            assert got == want, (n, q)
+            # the full line converges for 0 < q < n (positive definite Levi form)
+            assert ("divergent" in want) == (q in (0, n))
 
 
 def test_group_kernel_weighted_adjoint_symmetry():

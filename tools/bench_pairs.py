@@ -18,7 +18,8 @@ metrics and correctness, and per workload and metric the medians and
 quartiles of both sides, the change/parent ratios and the pairs won (see
 summarize), and per workload and side the runs that errored and the
 failed and attempted ops (see failures) and the median and quartiles
-of the ops attempted per run (see ops_per_run).  A pair in which either
+of the ops attempted per run (see ops_per_run), and per workload the
+slope of peak_rss_mb on ops attempted (see rss_per_kop).  A pair in which either
 side errored has no metrics to compare, so the summary leaves it out
 and counts it in pairs_left_out.
 """
@@ -133,6 +134,28 @@ def ops_per_run(pairs):
     return out
 
 
+def rss_per_kop(pairs):
+    """Least-squares slope of peak_rss_mb on ops attempted, over every run of both sides.
+
+    In MB per 1000 ops, with the number of runs it rests on: runs that
+    errored are left out, and the slope is None below 3 runs or when every
+    run attempted as many ops.  Since the worker keeps every op's record,
+    a change that runs more ops moves peak_rss_mb by about this slope
+    times the op growth; the rest of the move is the code's.
+    """
+    runs = [(p[side]["attempted"], p[side]["metrics"]["peak_rss_mb"]) for p in pairs
+            for side in ("parent", "change")
+            if "attempted" in p[side] and "peak_rss_mb" in p[side].get("metrics", {})]
+    slope = None
+    if len(runs) >= 3 and len({ops for ops, _ in runs}) > 1:
+        mx = statistics.fmean(ops for ops, _ in runs)
+        my = statistics.fmean(rss for _, rss in runs)
+        sxy = sum((ops - mx) * (rss - my) for ops, rss in runs)
+        sxx = sum((ops - mx) ** 2 for ops, _ in runs)
+        slope = 1000.0 * sxy / sxx
+    return {"mb_per_kop": slope, "runs": len(runs)}
+
+
 def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE,
                           text=True).stdout.strip()
@@ -220,6 +243,7 @@ def main(argv=None) -> int:
                 entry["pairs_left_out"] = len(entry["pairs"]) - len(ok)
                 entry["failures"] = failures(entry["pairs"])
                 entry["ops_per_run"] = ops_per_run(entry["pairs"])
+                entry["rss_per_kop"] = rss_per_kop(entry["pairs"])
                 entry["seeds"] = [p["seed"] for p in entry["pairs"]]
                 with open(out_path, "w", encoding="utf-8") as f:
                     json.dump(report, f, indent=1)
