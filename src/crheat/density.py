@@ -189,6 +189,39 @@ def _check_delta(delta):
         raise InvalidArgument("delta must be nonnegative")
 
 
+def _pencil_bose(p: CurvaturePoint, t: float, etas):
+    """Eigensystems of M(eta) at the nodes etas, with bose(+mu, t) and bose(-mu, t).
+
+    etas is a float, or a sequence that stacks the results along axis 0.
+    The whole stack goes through one eigensolve and one bose_pair.  M(eta)
+    is exactly Hermitian (the point's forms are symmetrized), so the
+    eigensolver gets it without a second validation.
+    """
+    if not isinstance(etas, float):
+        etas = np.asarray(etas, dtype=float)[:, None, None]
+    M = p.curvature.mat - (2.0 * etas) * p.levi.mat
+    es = eig_hermitian(HermitianForm.trusted(M))
+    return (es, *bose_pair(es.eigenvalues, t))
+
+
+def _trace_scalars(bose_plus: np.ndarray, bose_minus: np.ndarray, q: int) -> np.ndarray:
+    """Sum over the degree-q components of component_scalars, without listing them.
+
+    That sum is e_q, the coefficient of x^q in prod_j (bose(mu_j) + x *
+    bose(-mu_j)), taken by the recurrence e_k <- e_k * b+_j + e_{k-1} * b-_j
+    over j: O(n q) products instead of C(n, q) * n.  Bose values are
+    positive, so every term is nonnegative and nothing cancels.  Leading
+    axes of the Bose values stack nodes, as in component_scalars.
+    """
+    e = np.zeros((q + 1,) + bose_plus.shape[:-1])
+    e[0] = 1.0
+    for j in range(bose_plus.shape[-1]):
+        bp, bm = bose_plus[..., j], bose_minus[..., j]
+        e[1:] = e[1:] * bp + e[:-1] * bm
+        e[0] *= bp
+    return e[q]
+
+
 def _eta_nodes(p: CurvaturePoint, q: int, t: float, etas):
     """Everything the degree-q integrands need at a block of eta nodes.
 
@@ -198,16 +231,10 @@ def _eta_nodes(p: CurvaturePoint, q: int, t: float, etas):
     and d the component scalars.  A single eta given as a float, instead
     of a sequence, gives the same arrays without the stack axis.  The
     whole block goes through one call of each layer and one batched
-    matmul, which give every node the bits it gets alone.  M(eta) is
-    exactly Hermitian (the point's forms are symmetrized), so the
-    eigensolver gets it without a second validation.
+    matmul, which give every node the bits it gets alone.
     """
     stacked = not isinstance(etas, float)
-    if stacked:
-        etas = np.asarray(etas, dtype=float)[:, None, None]
-    M = p.curvature.mat - (2.0 * etas) * p.levi.mat
-    es = eig_hermitian(HermitianForm.trusted(M))
-    bose_plus, bose_minus = bose_pair(es.eigenvalues, t)
+    es, bose_plus, bose_minus = _pencil_bose(p, t, etas)
     d = component_scalars(bose_plus, bose_minus, q)
     E = _exterior_power(es.unitary, q)
     if stacked:
@@ -271,7 +298,8 @@ def tail_certificate(
 
     which this function evaluates in closed form (log-domain, so large
     t*||C||_F cannot overflow).  Returns inf when the validity condition
-    fails; callers respond by enlarging H.  The bound is for the raw
+    fails, where callers respond by enlarging H, and when the bound, t*rate
+    or 2*||L||_F is too large to represent.  The bound is for the raw
     integrand, without the (2*pi)^-(n+1) normalization.  A NaN or
     infinite argument raises NonFinite, and a negative norm or t <= 0
     InvalidArgument.
@@ -289,6 +317,8 @@ def tail_certificate(
     kappa = t * rate
     beta0 = curvature_norm + 1.0 / t
     beta1 = 2.0 * levi_norm
+    if math.isinf(kappa) or math.isinf(beta1):
+        return math.inf
     log_terms = []
     log_H = math.log(H)
     log_k = math.log(kappa)
@@ -339,8 +369,9 @@ def _eta_integral(p: CurvaturePoint, q: int, t: float, delta, f, tol: float, wid
     directions (DivergentIntegral otherwise).  Pencil roots are panel
     breaks; width caps panel widths for oscillatory integrands.  The
     full-line window [-H, H] doubles until the tail certificate, times
-    cert_scale (the factor f applies on top of the raw density
-    integrand), drops below 1e-12 of the accumulated integral.
+    cert_scale (the factor by which f can exceed the largest component
+    scalar of the raw density integrand), drops below 1e-12 of the
+    accumulated integral.
     """
     _check_time(t)
     _check_delta(delta)
@@ -371,6 +402,11 @@ def _eta_integral(p: CurvaturePoint, q: int, t: float, delta, f, tol: float, wid
     raise DivergentIntegral("tail certificate did not close after 60 window doublings")
 
 
+def _check_gauge(p: CurvaturePoint, delta):
+    if delta is not None and p.beta != 0.0:
+        raise NonRigidTruncation("truncated integral needs the rigid gauge beta = 0")
+
+
 def density_diagonal(p: CurvaturePoint, q: int, t: float, delta: float | None = None) -> FormEndomorphism:
     """(2*pi)^-(n+1) times the eta-integral of the density integrand.
 
@@ -381,8 +417,7 @@ def density_diagonal(p: CurvaturePoint, q: int, t: float, delta: float | None = 
     window [-H, H] until the analytic tail certificate drops below 1e-12
     of the accumulated integral.
     """
-    if delta is not None and p.beta != 0.0:
-        raise NonRigidTruncation("truncated integral needs the rigid gauge beta = 0")
+    _check_gauge(p, delta)
     b = basis(p.n, q)
 
     def f(etas):
@@ -390,6 +425,25 @@ def density_diagonal(p: CurvaturePoint, q: int, t: float, delta: float | None = 
 
     total = _eta_integral(p, q, t, delta, f, 1e-9)
     return FormEndomorphism(b, total * (2.0 * math.pi) ** (-(p.n + 1)))
+
+
+def _density_trace(p: CurvaturePoint, q: int, t: float, delta: float | None = None) -> float:
+    """The trace of density_diagonal(p, q, t, delta), from the pencil eigenvalues alone.
+
+    The integrand is _trace_scalars of the nodes' Bose values, and the
+    tail certificate counts C(n, q) times; heat_trace derives both.
+    delta and the gauge are checked as in density_diagonal.
+    """
+    _check_gauge(p, delta)
+
+    def f(etas):
+        _, bose_plus, bose_minus = _pencil_bose(p, t, etas)
+        return _trace_scalars(bose_plus, bose_minus, q)
+
+    total = _eta_integral(p, q, t, delta, f, 1e-9, cert_scale=math.comb(p.n, q))
+    # at delta == 0 the driver returns the zero density matrix, whose trace is 0
+    tr = float(np.trace(total).real) if np.ndim(total) else float(total)
+    return tr * (2.0 * math.pi) ** (-(p.n + 1))
 
 
 def _signature_at(R: np.ndarray, L: np.ndarray, eta: float):

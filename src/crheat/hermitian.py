@@ -44,11 +44,15 @@ class HermitianForm:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise NonFinite("matrix has a NaN or infinite entry")
-        if np.max(np.abs(a - a.conj().T)) > HERMITIAN_ATOL:
+        with np.errstate(over="ignore"):
+            # a difference that overflows is inf, which fails the test
+            asymmetry = np.max(np.abs(a - a.conj().T))
+        if asymmetry > HERMITIAN_ATOL:
             raise NonHermitian(
                 "matrix deviates from Hermitian symmetry by more than 1e-10"
             )
-        m = (a + a.conj().T) / 2.0
+        # halves first: a + a^H overflows for entries above ~9e307
+        m = a / 2.0 + a.conj().T / 2.0
         m.flags.writeable = False
         self.n = a.shape[0]
         self.mat = m
@@ -222,7 +226,8 @@ def pencil_det_poly(R, L) -> list[float]:
     from L and the rest from R.  At desk scale (2^n determinants) this is
     exact up to LU roundoff, with no interpolation step.  Coefficients
     below 1e-12 of the largest are clamped and trailing zeros trimmed, so
-    the degree equals n exactly when det L is nonzero.
+    the degree equals n exactly when det L is nonzero.  A coefficient
+    too large to represent raises NonFinite.
     """
     Rm = as_hermitian(R)
     Lm = as_hermitian(L)
@@ -233,16 +238,20 @@ def pencil_det_poly(R, L) -> list[float]:
     n = Rm.shape[0]
     sums = np.zeros(n + 1, dtype=complex)
     rows = np.empty_like(Rm)
-    for mask in range(1 << n):
-        k = 0
-        for i in range(n):
-            if mask >> i & 1:
-                rows[i] = Lm[i]
-                k += 1
-            else:
-                rows[i] = Rm[i]
-        sums[k] += np.linalg.det(rows)
-    coeffs = sums * (-2.0) ** np.arange(n + 1)
+    # entries near the largest double overflow here, which is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mask in range(1 << n):
+            k = 0
+            for i in range(n):
+                if mask >> i & 1:
+                    rows[i] = Lm[i]
+                    k += 1
+                else:
+                    rows[i] = Rm[i]
+            sums[k] += np.linalg.det(rows)
+        coeffs = sums * (-2.0) ** np.arange(n + 1)
+    if not np.isfinite(coeffs).all():
+        raise NonFinite("pencil determinant polynomial overflows: entries too large")
     cmax = float(np.max(np.abs(coeffs)))
     if cmax > 0 and float(np.max(np.abs(coeffs.imag))) > 1e-9 * max(1.0, cmax):
         raise NonHermitian("pencil expansion produced complex coefficients")

@@ -26,7 +26,7 @@ from crheat import (
 from crheat.errors import CrheatError, DegreeOutOfRange, InvalidArgument, NonFinite
 from crheat.morse import Cell, Divergent
 
-HOSTILE = (math.nan, math.inf, -math.inf, 0, -1, 1e300, True, 1.5)
+HOSTILE = (math.nan, math.inf, -math.inf, 0, -1, 1e300, 1.5e308, True, 1.5)
 
 C = np.array([[-1.0, 0.3], [0.3, 1.0]])
 L = np.diag([1.0, 0.5])

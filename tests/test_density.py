@@ -367,6 +367,9 @@ def test_certificate_validity_conditions():
     a = tail_certificate(1.0, 1.0, 2, 1, 1.0, 2.0, 6.0)
     b = tail_certificate(1.0, 1.0, 2, 1, 1.0, 2.0, 12.0)
     assert 0.0 < b < a
+    # t * rate or 2 * ||L||_F past the largest double
+    assert tail_certificate(1.0, 1.0, 2, 1, 1.5e308, 2.0, 8.0) == math.inf
+    assert tail_certificate(1.0, 1.5e308, 2, 1, 1.0, 2.0, 8.0) == math.inf
 
 
 def test_diagonal_large_t_value():
@@ -401,3 +404,22 @@ def test_stacked_nodes_equal_nodes_one_at_a_time(n, seed):
             for a, b, c in zip(stacked, single, _node_by_itself(p, q, t, eta)):
                 assert a[k].shape == b.shape == c.shape
                 assert a[k].tobytes() == b.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trace_scalars_sum_the_component_scalars(n):
+    # t*|mu| on both sides of the 1e-4 cut between the Bose series and the
+    # closed form, and far out, where the decaying member underflows
+    rng = np.random.default_rng(700 + n)
+    cut = np.array([0.9e-4, 1.1e-4, -0.9e-4, -1.1e-4, 1e-7, 0.0])
+    for t in (0.5, 2.0):
+        mu = [rng.choice(cut, size=(32, n)) / t]
+        mu += [s * rng.standard_normal((32, n)) for s in (1e-3, 1.0, 40.0)]
+        for m in mu:
+            bp, bm = bose_pair(m, t)
+            for q in range(n + 1):
+                want = density.component_scalars(bp, bm, q).sum(-1)
+                got = density._trace_scalars(bp, bm, q)
+                assert got.shape == want.shape == (32,)
+                # measured worst: 6.4e-16 over n = 1..8
+                np.testing.assert_allclose(got, want, rtol=4e-15, atol=0.0)

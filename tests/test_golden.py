@@ -2,7 +2,9 @@
 
 tests/data/golden/NAME.csv and NAME.json are the stdout of the command
 CASES[NAME] with --format csv and --format json, recorded before the
-three eta-integral paths were merged into one driver.  Every number must
+three eta-integral paths were merged into one driver; the two n = 3
+heat-trace cases were recorded before heat_trace stopped building the
+density matrix at each eta node.  Every number must
 agree to 1e-12 relative and every other field exactly, so a change that
 moves a printed result shows here even when it keeps each identity the
 other tests check.  Rerecord a file only for a change that means to
@@ -22,6 +24,7 @@ GOLDEN = DATA / "golden"
 POINT_CONVEX = str(DATA / "point_convex.json")
 POINT_DEFINITE = str(DATA / "point_definite_levi.json")
 DESC_INDEF = str(DATA / "descriptor_indefinite.json")
+DESC_DEFINITE_N3 = str(DATA / "descriptor_definite_n3.json")
 REL = 1e-12
 
 CASES = {
@@ -48,6 +51,10 @@ CASES = {
         "morse", "--input", DESC_INDEF, "--q", "1", "--heat-t", "1.0"),
     "morse_indef_q2_delta2_heat": (
         "morse", "--input", DESC_INDEF, "--q", "2", "--delta", "2.0", "--heat-t", "0.5,1.0"),
+    "morse_definite_n3_q3_heat": (
+        "morse", "--input", DESC_DEFINITE_N3, "--q", "3", "--heat-t", "0.5,2"),
+    "morse_definite_n3_q3_delta2_heat": (
+        "morse", "--input", DESC_DEFINITE_N3, "--q", "3", "--delta", "2.0", "--heat-t", "0.5,2"),
 }
 
 

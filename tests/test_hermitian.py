@@ -1,6 +1,7 @@
 """Eigensolver, guarded scalar functions, and pencil polynomial tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,17 @@ def test_hermitian_form_rejects_non_finite():
             HermitianForm(np.array([[bad, 0.0], [0.0, 1.0]]))
         with pytest.raises(NonFinite):
             eig_hermitian(np.array([[1.0, bad], [np.conj(bad), 1.0]]))
+
+
+def test_hermitian_form_near_the_largest_double():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert HermitianForm([[1.5e308]]).mat[0, 0] == 1.5e308
+        assert list(eig_hermitian([[1.5e308]]).eigenvalues) == [1.5e308]
+        off = np.array([[0.0, 1.5e308 - 1e308j], [1.5e308 + 1e308j, 0.0]])
+        assert np.array_equal(HermitianForm(off).mat, off)
+        with pytest.raises(NonHermitian):
+            HermitianForm([[0.0, 1.5e308], [-1.5e308, 0.0]])
 
 
 def test_eig_results_are_read_only():
@@ -142,6 +154,13 @@ def test_pencil_det_poly_degenerate_levi():
     coeffs = pencil_det_poly(np.diag([2.0, 3.0]), np.zeros((2, 2)))
     assert len(coeffs) == 1
     assert coeffs[0] == pytest.approx(6.0)
+
+
+def test_pencil_det_poly_overflow_is_non_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            pencil_det_poly(np.eye(2), np.diag([1.5e308, 0.5]))
 
 
 def test_pencil_poly_matches_lu():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from crheat import density
 from crheat.density import curvature_point, density_diagonal
 from crheat.errors import (
     DegreeOutOfRange,
@@ -14,6 +15,7 @@ from crheat.errors import (
     InvalidArgument,
     MixedDimension,
     NonFinite,
+    NonRigidTruncation,
 )
 from crheat.hermitian import pencil_det_poly
 from crheat.morse import (
@@ -229,6 +231,95 @@ def test_overflowing_cell_integral_is_non_finite():
 
 def test_heat_trace_delta_zero():
     assert heat_trace(sample_descriptor(), 1, 1.0, delta=0.0) == [0.0, 0.0]
+    d = ManifoldDescriptor("n3", (curvature_point(np.diag([0.5, -1.0, 0.2]), np.eye(3)),))
+    got = heat_trace(d, 3, 1.0, delta=0.0)
+    assert got == [0.0] * 4 and all(type(v) is float for v in got)
+
+
+def test_heat_trace_truncation_needs_rigid_gauge():
+    p = curvature_point(R2, I2, beta=0.5)
+    d = ManifoldDescriptor("beta", (p,))
+    with pytest.raises(NonRigidTruncation):
+        heat_trace(d, 1, 1.0, delta=2.0)
+    with pytest.raises(NonRigidTruncation):
+        heat_trace(d, 1, 1.0, delta=0.0)
+    # the full line allows any gauge
+    assert heat_trace(d, 1, 1.0)[0] is Divergent
+
+
+def _rand_herm(rng, n, scale=1.0):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return scale * (a + a.conj().T) / 2
+
+
+def _seeded_descriptor(rng, n, definite):
+    points = []
+    for weight in (1.0, 0.5):
+        if definite:
+            b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            levi = b @ b.conj().T / n + 0.5 * np.eye(n)
+        else:
+            levi = _rand_herm(rng, n)
+        points.append(curvature_point(_rand_herm(rng, n, 0.5), levi, weight=weight))
+    return ManifoldDescriptor(f"seeded-{n}", tuple(points))
+
+
+def _traces_of_densities(d, t, delta):
+    out = []
+    for j in range(d.n + 1):
+        acc = 0.0
+        for p in d.points:
+            try:
+                acc += p.weight * density_diagonal(p, j, t, delta).trace.real
+            except DivergentIntegral:
+                acc = Divergent
+                break
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_heat_trace_matches_density_traces_on_a_seeded_set(n):
+    rng = np.random.default_rng(3100 + n)
+    for definite in (True, False):
+        d = _seeded_descriptor(rng, n, definite)
+        for delta in (1.5, None):
+            want = _traces_of_densities(d, 1.0, delta)
+            if all(w is Divergent for w in want):
+                with pytest.raises(DivergentIntegral):
+                    heat_trace(d, n, 1.0, delta)
+                continue
+            got = heat_trace(d, n, 1.0, delta)
+            assert [g is Divergent for g in got] == [w is Divergent for w in want]
+            for g, w in zip(got, want):
+                if w is not Divergent:
+                    # measured worst: 2.1e-15 over this set
+                    assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+def test_heat_trace_tail_scales_the_certificate_by_the_component_count(monkeypatch):
+    # n = 3, j = 1: the trace sums C(3, 1) = 3 component scalars, each of
+    # which the certificate bounds.  A certificate of 1e-12/3 of the trace
+    # at each end closes the first window unscaled (2/3 of 1e-12) and must
+    # not close it scaled (2 * 1e-12).
+    levi = np.diag([1.0, 0.8, 1.2])
+    p = curvature_point(np.diag([0.7, -0.5, 0.3]), levi)
+    d = ManifoldDescriptor("n3", (p,))
+    raw = heat_trace(d, 1, 1.0)[1] * (2 * math.pi) ** 4
+    calls = []
+
+    class WindowGrew(Exception):
+        pass
+
+    def certificate(*args):
+        calls.append(args)
+        if len(calls) > 2:
+            raise WindowGrew
+        return 1e-12 * raw / 3.0
+
+    monkeypatch.setattr(density, "tail_certificate", certificate)
+    with pytest.raises(WindowGrew):
+        heat_trace(d, 1, 1.0)
 
 
 def test_heat_trace_single_point_is_pointwise_trace():
