@@ -33,6 +33,7 @@ from .hermitian import (
     _check_time,
     bose_pair,
     eig_hermitian,
+    eigvals_hermitian,
     frobenius_norm,
     pencil_det_poly,
     pencil_real_roots,
@@ -189,19 +190,15 @@ def _check_delta(delta):
         raise InvalidArgument("delta must be nonnegative")
 
 
-def _pencil_bose(p: CurvaturePoint, t: float, etas):
-    """Eigensystems of M(eta) at the nodes etas, with bose(+mu, t) and bose(-mu, t).
+def _pencil(p: CurvaturePoint, etas) -> HermitianForm:
+    """M(eta) at the nodes etas, a float or a sequence that stacks them along axis 0.
 
-    etas is a float, or a sequence that stacks the results along axis 0.
-    The whole stack goes through one eigensolve and one bose_pair.  M(eta)
-    is exactly Hermitian (the point's forms are symmetrized), so the
-    eigensolver gets it without a second validation.
+    M(eta) is exactly Hermitian (the point's forms are symmetrized), so
+    the eigensolvers get it without a second validation.
     """
     if not isinstance(etas, float):
         etas = np.asarray(etas, dtype=float)[:, None, None]
-    M = p.curvature.mat - (2.0 * etas) * p.levi.mat
-    es = eig_hermitian(HermitianForm.trusted(M))
-    return (es, *bose_pair(es.eigenvalues, t))
+    return HermitianForm.trusted(p.curvature.mat - (2.0 * etas) * p.levi.mat)
 
 
 def _trace_scalars(bose_plus: np.ndarray, bose_minus: np.ndarray, q: int) -> np.ndarray:
@@ -234,7 +231,8 @@ def _eta_nodes(p: CurvaturePoint, q: int, t: float, etas):
     matmul, which give every node the bits it gets alone.
     """
     stacked = not isinstance(etas, float)
-    es, bose_plus, bose_minus = _pencil_bose(p, t, etas)
+    es = eig_hermitian(_pencil(p, etas))
+    bose_plus, bose_minus = bose_pair(es.eigenvalues, t)
     d = component_scalars(bose_plus, bose_minus, q)
     E = _exterior_power(es.unitary, q)
     if stacked:
@@ -305,45 +303,69 @@ def tail_certificate(
     InvalidArgument.
     """
     check_degree(n, q)
-    if not all(map(math.isfinite, (curvature_norm, levi_norm, t, rate, H))):
+    if not math.isfinite(H):
+        raise NonFinite("tail certificate arguments must be finite")
+    return _tail_bound(curvature_norm, levi_norm, n, t, rate)(H)
+
+
+def _tail_bound(curvature_norm: float, levi_norm: float, n: int, t: float, rate: float):
+    """H -> tail_certificate(curvature_norm, levi_norm, n, q, t, rate, H) for finite H.
+
+    The arguments are checked as in tail_certificate.  The log-domain
+    terms that do not depend on H (lgamma, log, comb) are built once, on
+    the first H that passes the validity condition, and each H then adds
+    its own terms in tail_certificate's order, so a window-doubling loop
+    gets the bits of a fresh tail_certificate at each H.
+    """
+    if not all(map(math.isfinite, (curvature_norm, levi_norm, t, rate))):
         raise NonFinite("tail certificate arguments must be finite")
     _check_time(t)
     if curvature_norm < 0.0 or levi_norm < 0.0:
         raise InvalidArgument("norms must be nonnegative")
-    if rate <= 0.0 or H <= 0.0:
-        return math.inf
-    if t * (rate * H - curvature_norm) < 1.0:
-        return math.inf
     kappa = t * rate
-    beta0 = curvature_norm + 1.0 / t
-    beta1 = 2.0 * levi_norm
-    if math.isinf(kappa) or math.isinf(beta1):
-        return math.inf
-    log_terms = []
-    log_H = math.log(H)
-    log_k = math.log(kappa)
-    for k in range(n + 1):
-        if beta1 == 0.0 and k > 0:
-            continue
-        base = (
-            math.log(math.comb(n, k))
-            + (k * math.log(beta1) if k > 0 else 0.0)
-            + (n - k) * math.log(beta0)
-        )
-        for i in range(k + 1):
-            log_terms.append(
-                base
-                + math.lgamma(k + 1)
-                - math.lgamma(i + 1)
-                + i * log_H
-                - (k - i + 1) * log_k
+    built = []
+
+    def terms():
+        # (base + lgamma(k + 1) - lgamma(i + 1), i, (k - i + 1) * log(kappa)) per
+        # term, or None when the bound cannot be represented
+        beta0 = curvature_norm + 1.0 / t
+        beta1 = 2.0 * levi_norm
+        if math.isinf(kappa) or math.isinf(beta1):
+            return None
+        log_k = math.log(kappa)
+        rows = []
+        for k in range(n + 1):
+            if beta1 == 0.0 and k > 0:
+                continue
+            base = (
+                math.log(math.comb(n, k))
+                + (k * math.log(beta1) if k > 0 else 0.0)
+                + (n - k) * math.log(beta0)
             )
-    top = max(log_terms)
-    log_sum = top + math.log(math.fsum(math.exp(v - top) for v in log_terms))
-    log_cert = math.log(_DECAY_FACTOR_CONST) + t * curvature_norm - kappa * H + log_sum
-    if log_cert > 700.0:
-        return math.inf
-    return math.exp(log_cert)
+            for i in range(k + 1):
+                rows.append((base + math.lgamma(k + 1) - math.lgamma(i + 1), i, (k - i + 1) * log_k))
+        return math.log(_DECAY_FACTOR_CONST) + t * curvature_norm, rows
+
+    def bound(H: float) -> float:
+        if rate <= 0.0 or H <= 0.0:
+            return math.inf
+        if t * (rate * H - curvature_norm) < 1.0:
+            return math.inf
+        if not built:
+            built.append(terms())
+        if built[0] is None:
+            return math.inf
+        head, rows = built[0]
+        log_H = math.log(H)
+        log_terms = [a + i * log_H - b for a, i, b in rows]
+        top = max(log_terms)
+        log_sum = top + math.log(math.fsum(math.exp(v - top) for v in log_terms))
+        log_cert = head - kappa * H + log_sum
+        if log_cert > 700.0:
+            return math.inf
+        return math.exp(log_cert)
+
+    return bound
 
 
 def _two_sided_decay(p: CurvaturePoint, q: int) -> DecayReport:
@@ -390,10 +412,10 @@ def _eta_integral(p: CurvaturePoint, q: int, t: float, delta, f, tol: float, wid
     l_norm = frobenius_norm(p.levi.mat)
     H = 2.0 * (1.0 + (max(abs(r) for r in roots) if roots else 0.0))
     total = integrate_adaptive(f, -H, H, tol, tol, interior_breaks=roots, max_width=width)
+    plus = _tail_bound(c_norm, l_norm, p.n, t, rep.rate_plus)
+    minus = _tail_bound(c_norm, l_norm, p.n, t, rep.rate_minus)
     for _ in range(60):
-        cert = tail_certificate(c_norm, l_norm, p.n, q, t, rep.rate_plus, H) + tail_certificate(
-            c_norm, l_norm, p.n, q, t, rep.rate_minus, H
-        )
+        cert = plus(H) + minus(H)
         if cert * cert_scale <= 1e-12 * float(np.max(np.abs(total))):
             return total
         total = total + integrate_adaptive(f, H, 2.0 * H, tol, tol, max_width=width)
@@ -437,8 +459,7 @@ def _density_trace(p: CurvaturePoint, q: int, t: float, delta: float | None = No
     _check_gauge(p, delta)
 
     def f(etas):
-        _, bose_plus, bose_minus = _pencil_bose(p, t, etas)
-        return _trace_scalars(bose_plus, bose_minus, q)
+        return _trace_scalars(*bose_pair(eigvals_hermitian(_pencil(p, etas)), t), q)
 
     total = _eta_integral(p, q, t, delta, f, 1e-9, cert_scale=math.comb(p.n, q))
     # at delta == 0 the driver returns the zero density matrix, whose trace is 0

@@ -140,9 +140,10 @@ def mehler_kernel(A, t: float, x, y) -> complex:
 
 
 # Node-point pairs per Gaussian sub-block of _fiber_values.  A sub-block's
-# temporaries have about this many entries (times n), so peak memory
-# stays near the size of the output however many points a round serves,
-# while a one-point kernel assembles whole node stacks at once.
+# temporaries have about this many entries (times 2n^2, the exponent's
+# products), so peak memory stays near the size of the output however
+# many points a round serves, while a one-point kernel assembles whole
+# node stacks at once.
 _BLOCK_PAIRS = 4096
 
 # Entries per node stack of _fiber_values, counting a node's exterior
@@ -154,34 +155,95 @@ _BLOCK_MINORS = 1 << 16
 
 
 class _GaussianFrame(NamedTuple):
-    """The arrays of a node (or a stack of nodes) that its fiber kernels read.
+    """What the fiber kernels of a node (or a stack of nodes) read.
 
-    Uc = conj(U) for the eigenvectors U of M(eta); neg_f = -f with
-    f = (b+ + b-)/2 = tanh_ratio(mu, t); v = b- - b+; core = (2*pi)^-n
-    times the core of _eta_nodes.  See _gaussian_block for the formula.
+    coef holds the real coefficients of the node's two Hermitian forms
+    F = U diag(f) U^H and V = U diag(v) U^H (see _gaussian_block): F_aa
+    for each a, then 2 Re F_ab and 2 Im F_ab for each a < b in row-major
+    order, then the same n^2 coefficients of V without the factor 2.
+    core = (2*pi)^-n times the core of _eta_nodes.  A node stack keeps
+    arrays shaped (K, 2n^2) and (K, dim, dim); a boxeta_kernel memo entry
+    keeps one node, its coefficients a tuple of floats.
     """
 
-    Uc: np.ndarray
-    neg_f: np.ndarray
-    v: np.ndarray
+    coef: np.ndarray | tuple
     core: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
+def _coef_layout(n: int):
+    """Where _GaussianFrame.coef reads the forms (F, V), shaped (2, n, n), viewed as flat floats.
+
+    Returns the flat float index of each coefficient and its factor (2 for
+    F's off-diagonal parts, else 1), both read-only.
+    """
+    a, b = np.triu_indices(n, 1)
+    diag = np.arange(n) * (n + 1)
+    upper = np.stack([a * n + b, a * n + b], axis=-1).ravel()
+    parts = np.tile([0, 1], len(a))
+    index, factor = [], []
+    for form in (0, 1):
+        base = form * n * n
+        index += [2 * (base + diag), 2 * (base + upper) + parts]
+        factor += [np.ones(n), np.full(len(upper), 2.0 if form == 0 else 1.0)]
+    index, factor = np.concatenate(index), np.concatenate(factor)
+    index.flags.writeable = factor.flags.writeable = False
+    return index, factor
+
+
 def _node_frame(U, bp, bm, core) -> _GaussianFrame:
-    """The Gaussian frame of the node arrays (es.unitary, b+, b-, core) of _eta_nodes."""
-    scale = (2.0 * math.pi) ** (-U.shape[-1])
-    return _GaussianFrame(U.conj(), -((bp + bm) / 2.0), bm - bp, core * scale)
+    """The Gaussian frame of a stack of node arrays (es.unitary, b+, b-, core) of _eta_nodes."""
+    K, n = len(U), U.shape[-1]
+    weights = np.stack([(bp + bm) / 2.0, bm - bp], axis=1)
+    # F over V, (2n, n) per node: one matrix product per node for both forms
+    forms = (U[:, None] * weights[:, :, None, :]).reshape(K, 2 * n, n) @ U.conj().swapaxes(-1, -2)
+    index, factor = _coef_layout(n)
+    coef = forms.reshape(K, -1).view(float)[:, index] * factor
+    return _GaussianFrame(coef, core * (2.0 * math.pi) ** (-n))
 
 
-def _gaussian_block(z, ws, frame: _GaussianFrame, phase, adjoint: bool, out):
+def _point_terms(zr, zi, wr, wi) -> list:
+    """The point terms that pair with _GaussianFrame.coef, from the parts of z and w.
+
+    zr, zi, wr, wi hold, coordinate by coordinate, the real and imaginary
+    parts of z and w, as floats or as arrays over points.  With d = z - w
+    = x + i y: |d_a|^2, then x_a x_b + y_a y_b and y_a x_b - x_a y_b for
+    a < b, whose sum against F's coefficients is d^H F d; then the parts
+    of conj(z_a) w_b that V's coefficients weigh into Im(z^H V w).
+    """
+    n = len(zr)
+    x = [zr[k] - wr[k] for k in range(n)]
+    y = [zi[k] - wi[k] for k in range(n)]
+    f_terms = [x[k] * x[k] + y[k] * y[k] for k in range(n)]
+    v_terms = [zr[k] * wi[k] - zi[k] * wr[k] for k in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            f_terms += [x[a] * x[b] + y[a] * y[b], y[a] * x[b] - x[a] * y[b]]
+            v_terms += [zr[a] * wi[b] - zi[a] * wr[b] + (zr[b] * wi[a] - zi[b] * wr[a]),
+                        zr[a] * wr[b] + zi[a] * wi[b] - (zr[b] * wr[a] + zi[b] * wi[a])]
+    return f_terms + v_terms
+
+
+def _exponent(products):
+    """(-d^H F d, Im(z^H V w)) from the products coef[i] * term[i], summed in index order."""
+    m = len(products) // 2
+    quad, im = products[0], products[m]
+    for i in range(1, m):
+        quad = quad + products[i]
+        im = im + products[m + i]
+    return -quad, im
+
+
+def _gaussian_block(terms, frame: _GaussianFrame, phase, adjoint: bool, out):
     """Fiber heat kernels of a block of nodes, from their stacked frame.
 
-    The frame's arrays stack, node by node, what _node_frame makes of the
+    terms, shaped (2n^2, P), are the _point_terms of z and P points w_i;
+    the frame's arrays stack, node by node, what _node_frame makes of the
     eigenvectors U of M(eta), the Bose values b+- = bose(+-mu, t) and the
-    core of _eta_nodes.  Entry [k, i] of out, shaped
-    (len(frame.Uc), len(ws), dim, dim), becomes
+    core of _eta_nodes.  Entry [k, i] of out, shaped (len(frame.coef), P,
+    dim, dim), becomes
 
-        exp(i*phase[k, i]) * (2*pi)^-n * g_k(z, ws[i]) * core_k
+        exp(i*phase[k, i]) * (2*pi)^-n * g_k(z, w_i) * core_k
 
     with g_k the exponential of the Mehler quadratic forms at time t in
     the eigenframe (mu, U_k).  With ze = U^H z, we = U^H w and
@@ -189,55 +251,56 @@ def _gaussian_block(z, ws, frame: _GaussianFrame, phase, adjoint: bool, out):
 
         - f.|ze|^2 - f.|we|^2 + conj(we).(b+ ze) + conj(conj(we).(b- ze))
 
-    equal -f.|ze - we|^2 + i (b+ - b-).Im(conj(we) ze), which is how they
-    are evaluated.  The real part is <= 0, so |g| <= 1, and g = 1 at z = w.
-    adjoint conjugates g; phase None leaves out the phase.  The Gaussian
-    factors of the block are built together as batched matrix products,
-    with the phase folded into the exponent, so each (node, point) pair
-    costs one complex exponential.  _gaussian_one is the same arithmetic
-    for one node and one point.
+    equal -f.|ze - we|^2 + i (b+ - b-).Im(conj(we) ze).  Back in the
+    original coordinates that is
+
+        -(z - w)^H F (z - w) + i Im(z^H V w),  F = U diag(f) U^H,  V = U diag(b- - b+) U^H,
+
+    since f.|U^H d|^2 = d^H F d for d = z - w, and with v = b- - b+,
+    (b+ - b-).Im(conj(we) ze) = Im(sum_j v_j conj(ze_j) we_j) = Im(z^H V w).
+    The real part is <= 0, so |g| <= 1, and g = 1 at z = w.  adjoint
+    conjugates g; phase None leaves out the phase.
+
+    The node terms are the frame's coefficients and the point terms are
+    formed once per call, so the exponent is one broadcast product of
+    the two and a sum in index order (_exponent): real products and sums,
+    each rounded once, whether on arrays of any shape or on the floats of
+    a boxeta_kernel memo hit, which therefore gets the bits of its block
+    entry.  Each (node, point) pair then costs one complex exponential.
     """
-    ze = z @ frame.Uc
-    we = ws @ frame.Uc
-    d = ze[:, None, :] - we
-    re = (d.real**2 + d.imag**2) @ frame.neg_f[:, :, None]
-    # (b+ - b-).Im(conj(we) ze) = Im(we . conj(ze (b- - b+))); the
-    # adjoint conjugates g, which flips the sign of the imaginary part.
-    v = -frame.v if adjoint else frame.v
-    im = (we @ (ze * v).conj()[:, :, None]).imag
+    re, im = _exponent(frame.coef.T[:, :, None] * terms[:, None, :])
+    if adjoint:
+        im = -im
     if phase is not None:
-        im = im + phase[:, :, None]
-    g = np.exp(re + 1j * im)
-    np.multiply(g[:, :, :, None], frame.core[:, None], out=out)
+        im = im + phase
+    arg = np.empty(re.shape, dtype=complex)
+    arg.real = re
+    arg.imag = im
+    np.multiply(np.exp(arg)[:, :, None, None], frame.core[:, None], out=out)
 
 
-def _gaussian_one(z, w, frame: _GaussianFrame) -> np.ndarray:
-    """_gaussian_block for one node and one point, without phase or adjoint.
-
-    The same operations in the same order on unstacked arrays, so the
-    value has the bits of the block's entry; a new (dim, dim) array.
-    """
-    ze = z @ frame.Uc
-    we = w @ frame.Uc
-    d = ze - we
-    re = (d.real**2 + d.imag**2) @ frame.neg_f
-    im = (we @ (ze * frame.v).conj()).imag
-    return np.exp(re + 1j * im) * frame.core
+def _block_terms(z, ws) -> np.ndarray:
+    """The _point_terms of z and each point of ws, shaped (2n^2, len(ws))."""
+    return np.array(_point_terms(z.real.tolist(), z.imag.tolist(), list(ws.real.T), list(ws.imag.T)))
 
 
-def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoint: bool):
+def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoint: bool, terms=None):
     """Fiber heat kernels at every eta node, from z to every point of ws.
 
     Entry [k, i] of the (len(etas), len(ws), dim, dim) result is the
     _gaussian_block entry of node etas[k] and point ws[i], with phase
-    gaps[i]*etas[k] (none when gaps is None).  The nodes go in stacks of
-    at most _BLOCK_MINORS entries, each evaluated by one _eta_nodes call,
-    and a stack's frame is assembled by _gaussian_block in slices of at
-    most _BLOCK_PAIRS node-point pairs.
+    gaps[i]*etas[k] (none when gaps is None).  terms, when given, is
+    _block_terms(z, ws), which a caller evaluating many rounds at the same
+    points forms once.  The nodes go in stacks of at most _BLOCK_MINORS
+    entries, each evaluated by one _eta_nodes call, and a stack's frame is
+    assembled by _gaussian_block in slices of at most _BLOCK_PAIRS
+    node-point pairs.
     """
     etas = np.asarray(etas, dtype=float)
     dim = math.comb(p.n, q)
     out = np.empty((len(etas), len(ws), dim, dim), dtype=complex)
+    if terms is None:
+        terms = _block_terms(z, ws)
     stack = max(1, _BLOCK_MINORS // max(p.n, dim * q) ** 2)
     step = max(1, _BLOCK_PAIRS // max(1, len(ws)))
     for lo in range(0, len(etas), stack):
@@ -247,44 +310,46 @@ def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoin
         for k in range(0, len(nodes), step):
             block = nodes[k : k + step]
             phase = None if gaps is None else gaps[None, :] * block[:, None]
-            _gaussian_block(z, ws, _GaussianFrame(*(a[k : k + step] for a in frame)), phase, adjoint,
+            _gaussian_block(terms, _GaussianFrame(*(a[k : k + step] for a in frame)), phase, adjoint,
                             out[lo + k : lo + k + len(block)])
     return out
 
 
-# Cap on |z| * |w| * max(|f|, |v|) in a boxeta_kernel exponent: each of
-# its sums of n such terms then stays far below the float64 overflow.
+# Cap on |z| * |w| * max|coef| in a boxeta_kernel exponent: each of its
+# 2n^2 products then stays below 8e300, and their sums far below the
+# float64 overflow.
 _EXPONENT_CAP = 1e300
 
 
-def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float, z, w) -> _GaussianFrame:
+def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float, zl: list, wl: list) -> _GaussianFrame:
     """The Gaussian frame of _eta_node(p, q, t, eta), kept on p as its one boxeta_kernel memo entry.
 
     Callers sweep boxeta_kernel over z at a fixed (q, t, eta), so the
     frame (see _node_frame) of the last node is kept on the point, next
     to its cached det_poly and pencil_roots, and reused while the key
-    compares equal.  Every array of the frame is read-only.  The entry
-    also keeps the node's coordinate bound
-    sqrt(_EXPONENT_CAP / max(1, max|f|, max|v|)): each coordinate of z
-    and w must be below it in modulus, which one comparison per
-    coordinate tells, and a NaN or infinite one fails it too.  Otherwise
-    NonFinite is raised, and a miss stores nothing.  The key, frame and
-    bound are stored and read as one tuple, so concurrent callers can at
-    worst recompute a node.
+    compares equal: its coefficients as a tuple of floats, its core as a
+    read-only array.  The entry also keeps the node's coordinate bound
+    sqrt(_EXPONENT_CAP / max(1, max|coef|)): each coordinate of z and w
+    (the lists zl and wl) must be below it in modulus, which one
+    comparison per coordinate tells, and a NaN or infinite one fails it
+    too.  Otherwise NonFinite is raised, and a miss stores nothing.  The
+    key, frame and bound are stored and read as one tuple, so concurrent
+    callers can at worst recompute a node.
     """
     key = (q, t, eta)
     entry = p.__dict__.get("_boxeta_node")
     hit = entry is not None and entry[0] == key
     if not hit:
         es, bp, bm, core = _finite_node(_eta_node, p, q, t, eta)
-        frame = _node_frame(es.unitary, bp, bm, core)
-        for a in frame:
-            a.flags.writeable = False
-        scale = max(1.0, float(np.max(np.abs(frame.neg_f))), float(np.max(np.abs(frame.v))))
-        entry = (key, frame, math.sqrt(_EXPONENT_CAP / scale))
+        stacked = _node_frame(es.unitary[None], bp[None], bm[None], core[None])
+        core = stacked.core[0]
+        core.flags.writeable = False
+        # a NaN coefficient makes the bound NaN, which every coordinate fails
+        scale = float(np.max(np.abs(stacked.coef), initial=1.0))
+        entry = (key, _GaussianFrame(tuple(stacked.coef[0].tolist()), core), math.sqrt(_EXPONENT_CAP / scale))
     bound = entry[2]
     try:
-        below = all(abs(v) < bound for v in z.tolist()) and all(abs(v) < bound for v in w.tolist())
+        below = all(abs(v) < bound for v in zl) and all(abs(v) < bound for v in wl)
     except OverflowError:  # Python's abs of a complex past the largest double
         below = False
     if not below:
@@ -299,9 +364,11 @@ def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> Kern
 
     The node's Gaussian frame at (q, t, eta) is memoized on p (see
     _memo_node), so a sweep over z or w at one frequency evaluates the
-    node once and each call pays only for the forms in z and w.  A NaN
-    or infinite eta, or a coordinate that is not finite or past the
-    node's bound, raises NonFinite.
+    node once and each call pays only for the forms in z and w, which it
+    takes in Python floats by the arithmetic of _gaussian_block, so the
+    value has the bits of the group kernels' block entry.  A NaN or
+    infinite eta, or a coordinate that is not finite or past the node's
+    bound, raises NonFinite.
     """
     _check_time(t)
     b = basis(p.n, q)
@@ -312,7 +379,12 @@ def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> Kern
         raise InvalidArgument("point dimension does not match the curvature data")
     if not math.isfinite(eta):
         raise NonFinite("frequency must be finite")
-    return KernelValue(FormEndomorphism(b, _gaussian_one(z, w, _memo_node(p, q, t, eta, z, w))))
+    zl, wl = z.tolist(), w.tolist()
+    frame = _memo_node(p, q, t, eta, zl, wl)
+    terms = _point_terms([v.real for v in zl], [v.imag for v in zl], [v.real for v in wl], [v.imag for v in wl])
+    re, im = _exponent([c * v for c, v in zip(frame.coef, terms)])
+    # numpy's product with the core, as in the block
+    return KernelValue(FormEndomorphism(b, np.complex128(cmath.exp(complex(re, im))) * frame.core))
 
 
 def _quadratic_forms(mat, z, w):
@@ -362,8 +434,10 @@ def _group_kernel(p: CurvaturePoint, q: int, t: float, x: HeisenbergPoint, zs, t
     if not np.isfinite(pref).all():
         raise NonFinite("kernel prefactor overflows: the points are too far from the origin")
 
+    terms = _block_terms(z, zs)
+
     def f(etas):
-        return _fiber_values(p, q, t, etas, z, zs, gaps, adjoint)
+        return _fiber_values(p, q, t, etas, z, zs, gaps, adjoint, terms)
 
     total = _eta_integral(p, q, t, delta, f, tol, width, (2.0 * math.pi) ** (-p.n))
     return (pref / (2.0 * math.pi))[:, None, None] * total

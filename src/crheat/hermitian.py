@@ -125,6 +125,26 @@ def eig_hermitian(H) -> EigenSystem:
     return EigenSystem(vals, vecs)
 
 
+def eigvals_hermitian(H) -> np.ndarray:
+    """The eigenvalues of eig_hermitian(H) without its eigenvectors (LAPACK eigvalsh).
+
+    Ascending and read-only, with the same n = 1 shortcut, stacks and
+    NoConvergence as eig_hermitian.  The values can differ from
+    eig_hermitian's in the last bits, since LAPACK takes another path
+    when it needs no eigenvectors.
+    """
+    A = as_hermitian(H)
+    if A.shape[-1] == 1:
+        vals = A.real.diagonal(axis1=-2, axis2=-1).copy()
+    else:
+        try:
+            vals = np.linalg.eigvalsh(A)
+        except np.linalg.LinAlgError as e:
+            raise NoConvergence(f"LAPACK eigvalsh failed: {e}") from None
+    vals.flags.writeable = False
+    return vals
+
+
 # ---------------------------------------------------------------------------
 # Guarded scalar functions.  All are evaluated at x = t*mu and carry a
 # removable singularity at x = 0; below |x| = 1e-4 they switch to series

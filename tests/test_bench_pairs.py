@@ -112,3 +112,22 @@ def test_rss_per_kop_slope_over_both_sides():
     flat = [{"seed": k, "parent": _run(1200, 70.0 + k), "change": _run(1200, 71.0)} for k in range(3)]
     assert bench_pairs.rss_per_kop(flat) == {"mb_per_kop": None, "runs": 6}
     assert bench_pairs.rss_per_kop(pairs[:1]) == {"mb_per_kop": None, "runs": 2}
+
+
+def test_rss_ceiling_from_the_slope_and_the_parent_medians():
+    # 60 MB + 12 KB per op on both sides: the parent's medians are 1200 ops
+    # and 74.4 MB, and 10% of 74.4 MB buys 7.44 / 0.012 = 620 more ops
+    line = [(1100, 1500), (1200, 1600), (1300, 1700)]
+    pairs = [{"seed": k, "parent": _run(a, 60 + 0.012 * a), "change": _run(b, 60 + 0.012 * b)}
+             for k, (a, b) in enumerate(line)]
+    got = bench_pairs.rss_ceiling(pairs, 0.1)
+    assert got["ops_per_run"] == pytest.approx(1200 + 620, rel=1e-9)
+    assert got["change_ops_per_run"] == 1600
+    # the change's median RSS at the ceiling is the bound exactly
+    assert 60 + 0.012 * got["ops_per_run"] == pytest.approx(1.1 * (60 + 0.012 * 1200), rel=1e-12)
+    # no bound, no positive slope, or no parent run: no ceiling
+    assert bench_pairs.rss_ceiling(pairs, None)["ops_per_run"] is None
+    flat = [{"seed": k, "parent": _run(1200 + k, 70.0), "change": _run(1300 + k, 70.0)} for k in range(3)]
+    assert bench_pairs.rss_ceiling(flat, 0.1) == {"ops_per_run": None, "change_ops_per_run": 1301}
+    errored = [{"seed": 1, "parent": {"error": "x"}, "change": _run(1300, 70.0)}]
+    assert bench_pairs.rss_ceiling(errored, 0.1) == {"ops_per_run": None, "change_ops_per_run": 1300}

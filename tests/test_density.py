@@ -283,7 +283,7 @@ def test_argument_errors_are_typed():
 
 
 def test_unclosed_tail_certificate_is_typed(monkeypatch):
-    monkeypatch.setattr(density, "tail_certificate", lambda *args: math.inf)
+    monkeypatch.setattr(density, "_tail_bound", lambda *args: lambda H: math.inf)
     with pytest.raises(DivergentIntegral, match="60 window doublings"):
         density_diagonal(P_INDEF, 1, 1.0)
 
@@ -423,3 +423,26 @@ def test_trace_scalars_sum_the_component_scalars(n):
                 assert got.shape == want.shape == (32,)
                 # measured worst: 6.4e-16 over n = 1..8
                 np.testing.assert_allclose(got, want, rtol=4e-15, atol=0.0)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c_norm=st.floats(0.0, 60.0),
+    l_norm=st.floats(0.0, 60.0),
+    n=st.integers(1, 10),
+    t=st.floats(1e-3, 80.0),
+    rate=st.floats(0.0, 30.0),
+    H=st.floats(1e-3, 200.0),
+    doublings=st.integers(1, 14),
+)
+def test_hoisted_tail_bound_has_the_bits_of_tail_certificate(c_norm, l_norm, n, t, rate, H, doublings):
+    # the driver builds one bound per side and evaluates it at each window;
+    # every value must be the bits of a fresh tail_certificate at that H
+    bound = density._tail_bound(c_norm, l_norm, n, t, rate)
+    for _ in range(doublings):
+        assert _bits(bound(H)) == _bits(tail_certificate(c_norm, l_norm, n, 0, t, rate, H))
+        H *= 2.0

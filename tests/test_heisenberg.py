@@ -128,6 +128,54 @@ def test_boxeta_memo_hit_equals_miss_and_unmemoized_path():
             assert _same_bits(hits, misses) and _same_bits(hits, fresh)
 
 
+def _eigenbasis_fiber(p, q, t, etas, z, ws, gaps, adjoint):
+    """Fiber kernels by the eigenbasis formula, independent of the Gaussian frame.
+
+    exp(-f.|U^H(z - w)|^2 + i (b+ - b-).Im(conj(U^H w) U^H z)), conjugated
+    when adjoint, times exp(i gap eta) and (2 pi)^-n core, with U, b+-
+    and core from _eta_nodes and f = (b+ + b-)/2.
+    """
+    es, bp, bm, core = density._eta_nodes(p, q, t, np.asarray(etas, dtype=float))
+    out = np.empty((len(etas), len(ws)) + core.shape[1:], dtype=complex)
+    for k, eta in enumerate(etas):
+        uh = es.unitary[k].conj().T
+        f = (bp[k] + bm[k]) / 2.0
+        for i, w in enumerate(ws):
+            ze, we = uh @ z, uh @ w
+            expo = -np.sum(f * np.abs(ze - we) ** 2) + 1j * np.sum((bp[k] - bm[k]) * (we.conj() * ze).imag)
+            if adjoint:
+                expo = np.conj(expo)
+            if gaps is not None:
+                expo += 1j * gaps[i] * eta
+            out[k, i] = np.exp(expo) * (2.0 * math.pi) ** (-p.n) * core[k]
+    return out
+
+
+def test_fiber_kernels_match_the_eigenbasis_formula():
+    # the two real quadratic forms of the node frame, in block assembly and
+    # in memo hits, against the eigenbasis formula they rewrite
+    rng = np.random.default_rng(39)
+    for n in (1, 2, 3, 4):
+        p = curvature_point(rand_herm(rng, n), rand_herm(rng, n))
+        for q in range(n + 1):
+            t = float(rng.uniform(0.3, 2.0))
+            etas = rng.uniform(-2.0, 2.0, 5)
+            z = 0.6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            ws = 0.6 * (rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
+            gaps = rng.uniform(-1.5, 1.5, 4)
+            for g in (None, gaps):
+                for adjoint in (False, True):
+                    got = heisenberg._fiber_values(p, q, t, etas, z, ws, g, adjoint)
+                    want = _eigenbasis_fiber(p, q, t, etas, z, ws, g, adjoint)
+                    scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+                    assert np.all(np.abs(got - want) <= 1e-13 * scale), (n, q, g is None, adjoint)
+            for k, eta in enumerate(etas[:2]):
+                for i, w in enumerate(ws):
+                    hit = boxeta_kernel(p, eta, q, t, z, w).matrix
+                    want = _eigenbasis_fiber(p, q, t, [eta], z, [w], None, False)[0, 0]
+                    assert np.max(np.abs(hit - want)) <= 1e-13 * np.max(np.abs(want)), (n, q)
+
+
 def test_boxeta_memo_misses_on_any_key_change(monkeypatch):
     keys = []
     eta_node = heisenberg._eta_node
@@ -157,12 +205,16 @@ def test_boxeta_memo_misses_on_any_key_change(monkeypatch):
 def test_boxeta_memo_arrays_are_read_only():
     p = curvature_point(np.diag([0.6, -0.2]), np.diag([1.0, 0.7]))
     boxeta_kernel(p, 0.3, 1, 0.7, [0.1, 0.2j], [0.0, 0.1])
-    frame = heisenberg._memo_node(p, 1, 0.7, 0.3, np.array([0.1, 0.2j]), np.array([0.0, 0.1]))
+    frame = heisenberg._memo_node(p, 1, 0.7, 0.3, [0.1, 0.2j], [0.0, 0.1])
     assert frame is vars(p)["_boxeta_node"][1]
-    for a in (frame.Uc, frame.neg_f, frame.v, frame.core):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0.0
+    # the coefficients are a tuple of floats, the core a read-only array
+    assert type(frame.coef) is tuple and len(frame.coef) == 2 * 2**2
+    assert all(type(c) is float for c in frame.coef)
+    with pytest.raises(TypeError):
+        frame.coef[0] = 0.0
+    assert not frame.core.flags.writeable
+    with pytest.raises(ValueError):
+        frame.core[0] = 0.0
     # the returned kernel is the caller's own, writable array
     kv = boxeta_kernel(p, 0.3, 1, 0.7, [0.1, 0.2j], [0.0, 0.1])
     kv.matrix[0, 0] = 0.0

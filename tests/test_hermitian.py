@@ -14,6 +14,7 @@ from crheat.hermitian import (
     bose_pair,
     bose_ratio,
     eig_hermitian,
+    eigvals_hermitian,
     pencil_det_poly,
     pencil_real_roots,
     tanh_ratio,
@@ -75,6 +76,36 @@ def test_eig_lapack_failure_is_no_convergence(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NoConvergence):
         eig_hermitian(np.eye(2))
+
+
+def test_eigvals_match_eig_hermitian():
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 3, 5, 8):
+        stack = np.stack([rand_herm(rng, n) for _ in range(6)])
+        vals = eigvals_hermitian(HermitianForm.trusted(stack))
+        want = eig_hermitian(HermitianForm.trusted(stack.copy())).eigenvalues
+        assert vals.shape == want.shape and not vals.flags.writeable
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(vals - want)) <= 1e-14 * scale
+        one = eigvals_hermitian(stack[0])
+        assert np.array_equal(one, vals[0]) or np.max(np.abs(one - vals[0])) <= 1e-14 * scale
+    # n = 1 takes the shortcut, with LAPACK's values and dtype
+    for a in (0.0, -2.5, 1e300):
+        vals = eigvals_hermitian([[a]])
+        want = np.linalg.eigvalsh(np.array([[complex(a)]]))
+        assert np.array_equal(vals, want) and vals.dtype == want.dtype and not vals.flags.writeable
+
+
+def test_eigvals_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergence):
+        eigvals_hermitian(np.eye(2))
+    for bad, err in (([[math.nan]], NonFinite), ([[0.0, 1.0], [0.0, 0.0]], NonHermitian)):
+        with pytest.raises(err):
+            eigvals_hermitian(bad)
 
 
 def test_eig_identity():

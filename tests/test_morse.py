@@ -312,12 +312,16 @@ def test_heat_trace_tail_scales_the_certificate_by_the_component_count(monkeypat
         pass
 
     def certificate(*args):
-        calls.append(args)
-        if len(calls) > 2:
-            raise WindowGrew
-        return 1e-12 * raw / 3.0
+        # the driver's bound for one side, as a function of the window H
+        def at(H):
+            calls.append((args, H))
+            if len(calls) > 2:
+                raise WindowGrew
+            return 1e-12 * raw / 3.0
 
-    monkeypatch.setattr(density, "tail_certificate", certificate)
+        return at
+
+    monkeypatch.setattr(density, "_tail_bound", certificate)
     with pytest.raises(WindowGrew):
         heat_trace(d, 1, 1.0)
 

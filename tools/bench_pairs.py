@@ -19,7 +19,8 @@ quartiles of both sides, the change/parent ratios and the pairs won (see
 summarize), and per workload and side the runs that errored and the
 failed and attempted ops (see failures) and the median and quartiles
 of the ops attempted per run (see ops_per_run), and per workload the
-slope of peak_rss_mb on ops attempted (see rss_per_kop).  A pair in which either
+slope of peak_rss_mb on ops attempted (see rss_per_kop) and the ops per
+run at which peak_rss_mb would cross its bound (see rss_ceiling).  A pair in which either
 side errored has no metrics to compare, so the summary leaves it out
 and counts it in pairs_left_out.
 """
@@ -156,6 +157,27 @@ def rss_per_kop(pairs):
     return {"mb_per_kop": slope, "runs": len(runs)}
 
 
+def rss_ceiling(pairs, bound):
+    """Ops per run at which the change's median peak_rss_mb would cross its bound.
+
+    Reads peak_rss_mb as the parent's median plus rss_per_kop per 1000 ops
+    past the parent's median ops_per_run, and solves for the op count at
+    which that is bound (a fraction) above the parent's median: the
+    ceiling on ops per run that any speed-up must stay under while the
+    worker keeps every op's record.  Given beside the change's median
+    ops_per_run; the ceiling is None without a positive slope, a parent
+    run with both numbers, or a bound.
+    """
+    slope = rss_per_kop(pairs)["mb_per_kop"]
+    ops = ops_per_run(pairs)
+    rss = [p["parent"]["metrics"]["peak_rss_mb"] for p in pairs
+           if "peak_rss_mb" in p["parent"].get("metrics", {})]
+    ceiling = None
+    if bound is not None and slope is not None and slope > 0 and rss and ops["parent"]:
+        ceiling = ops["parent"]["median"] + 1000.0 * bound * statistics.median(rss) / slope
+    return {"ops_per_run": ceiling, "change_ops_per_run": ops["change"]["median"] if ops["change"] else None}
+
+
 def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE,
                           text=True).stdout.strip()
@@ -244,6 +266,7 @@ def main(argv=None) -> int:
                 entry["failures"] = failures(entry["pairs"])
                 entry["ops_per_run"] = ops_per_run(entry["pairs"])
                 entry["rss_per_kop"] = rss_per_kop(entry["pairs"])
+                entry["rss_ceiling"] = rss_ceiling(entry["pairs"], bounds.get("peak_rss_mb"))
                 entry["seeds"] = [p["seed"] for p in entry["pairs"]]
                 with open(out_path, "w", encoding="utf-8") as f:
                     json.dump(report, f, indent=1)
