@@ -261,8 +261,8 @@ def _gaussian_block(terms, frame: _GaussianFrame, phase, adjoint: bool, out):
     The real part is <= 0, so |g| <= 1, and g = 1 at z = w.  adjoint
     conjugates g; phase None leaves out the phase.
 
-    The node terms are the frame's coefficients and the point terms are
-    formed once per call, so the exponent is one broadcast product of
+    The node terms are the frame's coefficients and the point terms come
+    formed (_block_terms), so the exponent is one broadcast product of
     the two and a sum in index order (_exponent): real products and sums,
     each rounded once, whether on arrays of any shape or on the floats of
     a boxeta_kernel memo hit, which therefore gets the bits of its block
