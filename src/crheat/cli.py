@@ -78,8 +78,15 @@ def _delta(text: str) -> float:
     return _number(text, "finite nonnegative", lambda v: v >= 0)
 
 
+# Each --heat-t time is one heat_trace over the whole descriptor.
+MAX_HEAT_TIMES = 100
+
+
 def _times(text: str) -> list:
-    return [_time(v) for v in text.split(",")]
+    parts = text.split(",")
+    if len(parts) > MAX_HEAT_TIMES:
+        raise argparse.ArgumentTypeError(f"more than {MAX_HEAT_TIMES} times")
+    return [_time(v) for v in parts]
 
 
 # Each --eta-grid sample is one integrand evaluation.

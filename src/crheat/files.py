@@ -24,6 +24,10 @@ def _loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError:  # an integer past Python's digit limit for int()
+        raise FileFormatError("a number has too many digits") from None
+    except RecursionError:
+        raise FileFormatError("arrays or objects nested too deeply") from None
 
 
 def _check_version(obj):
@@ -38,7 +42,10 @@ def _real(body, key, default):
     v = body.get(key, default)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise FileFormatError(f"'{key}' must be a real number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer past the float range
+        raise FileFormatError(f"'{key}' is beyond the float range") from None
 
 
 def _matrix(body, key, n):
@@ -61,7 +68,10 @@ def _matrix(body, key, n):
             )
             if not ok:
                 raise FileFormatError(f"'{key}'[{r}][{c}] must be an [re, im] pair")
-            line.append(complex(cell[0], cell[1]))
+            try:
+                line.append(complex(cell[0], cell[1]))
+            except OverflowError:  # an integer past the float range
+                raise FileFormatError(f"'{key}'[{r}][{c}] is beyond the float range") from None
         out.append(line)
     return out
 

@@ -25,6 +25,7 @@ from .density import (
     _eta_node,
     _eta_nodes,
     _finite_node,
+    _pencil,
     _two_sided_decay,
 )
 from .errors import InvalidArgument, NonFinite
@@ -158,7 +159,7 @@ class _GaussianFrame(NamedTuple):
     """What the fiber kernels of a node (or a stack of nodes) read.
 
     coef holds the real coefficients of the node's two Hermitian forms
-    F = U diag(f) U^H and V = U diag(v) U^H (see _gaussian_block): F_aa
+    F = U diag(f) U^H and V = -M(eta) (see _gaussian_block): F_aa
     for each a, then 2 Re F_ab and 2 Im F_ab for each a < b in row-major
     order, then the same n^2 coefficients of V without the factor 2.
     core = (2*pi)^-n times the core of _eta_nodes.  A node stack keeps
@@ -191,12 +192,18 @@ def _coef_layout(n: int):
     return index, factor
 
 
-def _node_frame(U, bp, bm, core) -> _GaussianFrame:
-    """The Gaussian frame of a stack of node arrays (es.unitary, b+, b-, core) of _eta_nodes."""
+def _node_frame(U, bp, bm, M, core) -> _GaussianFrame:
+    """The Gaussian frame of a stack of nodes: the arrays (es.unitary, b+, b-, core) of _eta_nodes and the pencils M.
+
+    M stacks the nodes' M(eta) (_pencil).  F = U diag((b+ + b-)/2) U^H takes
+    one matrix product per node; V = U diag(b- - b+) U^H is -M(eta), since
+    b+ - b- = mu, so its coefficients are read off the negated pencil.
+    """
     K, n = len(U), U.shape[-1]
-    weights = np.stack([(bp + bm) / 2.0, bm - bp], axis=1)
-    # F over V, (2n, n) per node: one matrix product per node for both forms
-    forms = (U[:, None] * weights[:, :, None, :]).reshape(K, 2 * n, n) @ U.conj().swapaxes(-1, -2)
+    # F over V, (2n, n) per node
+    forms = np.empty((K, 2 * n, n), dtype=complex)
+    np.matmul(U * ((bp + bm) / 2.0)[:, None, :], U.conj().swapaxes(-1, -2), out=forms[:, :n])
+    np.negative(M, out=forms[:, n:])
     index, factor = _coef_layout(n)
     coef = forms.reshape(K, -1).view(float)[:, index] * factor
     return _GaussianFrame(coef, core * (2.0 * math.pi) ** (-n))
@@ -206,10 +213,14 @@ def _point_terms(zr, zi, wr, wi) -> list:
     """The point terms that pair with _GaussianFrame.coef, from the parts of z and w.
 
     zr, zi, wr, wi hold, coordinate by coordinate, the real and imaginary
-    parts of z and w, as floats or as arrays over points.  With d = z - w
-    = x + i y: |d_a|^2, then x_a x_b + y_a y_b and y_a x_b - x_a y_b for
-    a < b, whose sum against F's coefficients is d^H F d; then the parts
-    of conj(z_a) w_b that V's coefficients weigh into Im(z^H V w).
+    parts of z and w, as arrays over points.  With d = z - w = x + i y:
+    |d_a|^2, then x_a x_b + y_a y_b and y_a x_b - x_a y_b for a < b, whose
+    sum against F's coefficients is d^H F d; then the parts of
+    conj(z_a) w_b that V's coefficients weigh into Im(z^H V w).  This is
+    the order the block path and a boxeta_kernel memo hit share: the n
+    diagonal terms first, then each pair a < b in row-major order with
+    its two parts, F's terms and V's alike.  A hit forms each term by the
+    same operations in one pass over the coordinates of z and w.
     """
     n = len(zr)
     x = [zr[k] - wr[k] for k in range(n)]
@@ -225,7 +236,11 @@ def _point_terms(zr, zi, wr, wi) -> list:
 
 
 def _exponent(products):
-    """(-d^H F d, Im(z^H V w)) from the products coef[i] * term[i], summed in index order."""
+    """(-d^H F d, Im(z^H V w)) from the products coef[i] * term[i], summed in index order.
+
+    Index order is _point_terms' order, which a boxeta_kernel memo hit
+    follows as it adds its products one by one.
+    """
     m = len(products) // 2
     quad, im = products[0], products[m]
     for i in range(1, m):
@@ -258,6 +273,8 @@ def _gaussian_block(terms, frame: _GaussianFrame, phase, adjoint: bool, out):
 
     since f.|U^H d|^2 = d^H F d for d = z - w, and with v = b- - b+,
     (b+ - b-).Im(conj(we) ze) = Im(sum_j v_j conj(ze_j) we_j) = Im(z^H V w).
+    As b+ - b- = mu, V = -U diag(mu) U^H = -M(eta), which _node_frame
+    reads off the pencil instead of the eigenvectors.
     The real part is <= 0, so |g| <= 1, and g = 1 at z = w.  adjoint
     conjugates g; phase None leaves out the phase.
 
@@ -306,7 +323,7 @@ def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoin
     for lo in range(0, len(etas), stack):
         nodes = etas[lo : lo + stack]
         es, bp, bm, core = _eta_nodes(p, q, t, nodes)
-        frame = _node_frame(es.unitary, bp, bm, core)
+        frame = _node_frame(es.unitary, bp, bm, _pencil(p, nodes).mat, core)
         for k in range(0, len(nodes), step):
             block = nodes[k : k + step]
             phase = None if gaps is None else gaps[None, :] * block[:, None]
@@ -341,7 +358,7 @@ def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float, zl: list, wl: li
     hit = entry is not None and entry[0] == key
     if not hit:
         es, bp, bm, core = _finite_node(_eta_node, p, q, t, eta)
-        stacked = _node_frame(es.unitary[None], bp[None], bm[None], core[None])
+        stacked = _node_frame(es.unitary[None], bp[None], bm[None], _pencil(p, eta).mat[None], core[None])
         core = stacked.core[0]
         core.flags.writeable = False
         # a NaN coefficient makes the bound NaN, which every coordinate fails
@@ -364,8 +381,9 @@ def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> Kern
 
     The node's Gaussian frame at (q, t, eta) is memoized on p (see
     _memo_node), so a sweep over z or w at one frequency evaluates the
-    node once and each call pays only for the forms in z and w, which it
-    takes in Python floats by the arithmetic of _gaussian_block, so the
+    node once and each call pays only for the forms in z and w.  It sums
+    them in Python floats in one pass over the coordinates, by the
+    operations and in the order of _point_terms and _exponent, so the
     value has the bits of the group kernels' block entry.  A NaN or
     infinite eta, or a coordinate that is not finite or past the node's
     bound, raises NonFinite.
@@ -381,10 +399,28 @@ def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> Kern
         raise NonFinite("frequency must be finite")
     zl, wl = z.tolist(), w.tolist()
     frame = _memo_node(p, q, t, eta, zl, wl)
-    terms = _point_terms([v.real for v in zl], [v.imag for v in zl], [v.real for v in wl], [v.imag for v in wl])
-    re, im = _exponent([c * v for c, v in zip(frame.coef, terms)])
+    # _point_terms and _exponent in one pass: each term is formed by the
+    # same operations and added in the same order; -0.0 + x is x, bit for bit
+    coef = frame.coef
+    m = len(coef) // 2
+    quad = im = -0.0
+    parts = []
+    for i, (zk, wk) in enumerate(zip(zl, wl)):
+        zr, zi, wr, wi = zk.real, zk.imag, wk.real, wk.imag
+        x, y = zr - wr, zi - wi
+        quad += coef[i] * (x * x + y * y)
+        im += coef[m + i] * (zr * wi - zi * wr)
+        parts.append((zr, zi, wr, wi, x, y))
+    i = len(parts)
+    for a, (zra, zia, wra, wia, xa, ya) in enumerate(parts):
+        for zrb, zib, wrb, wib, xb, yb in parts[a + 1:]:
+            quad += coef[i] * (xa * xb + ya * yb)
+            quad += coef[i + 1] * (ya * xb - xa * yb)
+            im += coef[m + i] * (zra * wib - zia * wrb + (zrb * wia - zib * wra))
+            im += coef[m + i + 1] * (zra * wrb + zia * wib - (zrb * wra + zib * wia))
+            i += 2
     # numpy's product with the core, as in the block
-    return KernelValue(FormEndomorphism(b, np.complex128(cmath.exp(complex(re, im))) * frame.core))
+    return KernelValue(FormEndomorphism(b, np.complex128(cmath.exp(complex(-quad, im))) * frame.core))
 
 
 def _quadratic_forms(mat, z, w):

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import crheat
-from crheat.cli import MAX_ETA_SAMPLES, _eta_grid, main
+from crheat.cli import MAX_ETA_SAMPLES, MAX_HEAT_TIMES, _build_parser, _eta_grid, main
 from crheat.density import curvature_point, density_diagonal
 from crheat.errors import FileFormatError, InvalidArgument, NonHermitian
 from crheat.files import (
@@ -33,6 +34,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 POINT_CONVEX = str(DATA / "point_convex.json")
 POINT_DEFINITE = str(DATA / "point_definite_levi.json")
 DESC_INDEF = str(DATA / "descriptor_indefinite.json")
+HOSTILE = DATA / "hostile"
 
 
 def test_parse_point_round_trip():
@@ -405,6 +407,62 @@ def test_eta_grid_sample_count_is_bounded(capsys):
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
     assert time.perf_counter() - start < 1.0
+
+
+def test_heat_time_count_is_bounded(capsys):
+    argv = ["morse", "--input", DESC_INDEF, "--q", "1", "--delta", "2", "--heat-t"]
+    args = _build_parser().parse_args(argv + [",".join(["1"] * MAX_HEAT_TIMES)])
+    assert args.heat_t == [1.0] * MAX_HEAT_TIMES
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [",".join(["1"] * (MAX_HEAT_TIMES + 1))])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"more than {MAX_HEAT_TIMES} times" in err and "Traceback" not in err
+
+
+def _as_descriptor(point_text: str) -> str:
+    """A one-point descriptor around the body of a point file's text."""
+    version = '"schema_version": "1",'
+    assert version in point_text
+    return point_text.replace(version, version + ' "name": "hostile", "points": [{', 1).rstrip() + "]}"
+
+
+_HUGE = "1" + "0" * 400  # an integer past the float range
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("huge_integer.json", r"'levi'\[0\]\[0\] is beyond the float range"),
+        ("long_integer.json", "a number has too many digits"),
+        ("deep_arrays.json", "arrays or objects nested too deeply"),
+        ("beta", "'beta' is beyond the float range"),
+        ("weight", "'weight' is beyond the float range"),
+    ],
+)
+def test_hostile_files_are_format_errors(capsys, tmp_path, name, message):
+    # each used to end in a traceback and exit 1 (OverflowError, a ValueError
+    # from json.loads, RecursionError), as a point file and as a descriptor
+    if name.endswith(".json"):
+        text = (HOSTILE / name).read_text()
+    else:  # a key of a valid point file, set past the float range
+        good = format_point(curvature_point([[1.0]], [[0.5]]))
+        text = re.sub(f'"{name}": [0-9.]+', f'"{name}": {_HUGE}', good)
+        assert text != good
+    point, descriptor = tmp_path / "p.json", tmp_path / "d.json"
+    point.write_text(text)
+    descriptor.write_text(_as_descriptor(text))
+    with pytest.raises(FileFormatError, match=message):
+        crheat.files.load_point(point)
+    with pytest.raises(FileFormatError, match=message):
+        load_descriptor(descriptor)
+    for argv in (("density", "--input", str(point), "--q", "0", "--t", "1", "--delta", "1"),
+                 ("morse", "--input", str(descriptor), "--q", "0", "--delta", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and re.search(message, err)
 
 
 @pytest.mark.parametrize(

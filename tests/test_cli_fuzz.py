@@ -26,6 +26,10 @@ POINT = str(DATA / "point_convex.json")
 POINT_2 = str(DATA / "point_definite_levi.json")
 DESCRIPTOR = str(DATA / "descriptor_indefinite.json")
 BAD_INPUTS = [str(DATA), str(DATA / "missing.json")]
+# Files that used to end in a traceback: an integer past the float range,
+# one past Python's digit limit, and arrays nested past the recursion limit.
+HOSTILE_FILES = [str(DATA / "hostile" / name)
+                 for name in ("huge_integer.json", "long_integer.json", "deep_arrays.json")]
 
 # Group points for n = 1 (point_convex) and n = 2 (point_definite_levi).
 COORDS = ["0,0,0", "0.3,-0.2,0.1", "0,0,1e300", "0,0,-1e5", "0,1e300,0", "0.3,0.2,-0.1,0.1,0.4"]
@@ -34,7 +38,7 @@ POOL = [
     "1", "0", "2", "0.5", "-1", "1e300", "1e-300", "-1e300", "nan", "inf", "-inf", "",
     "-", "--", "-x", "--q", *COORDS, "nan,0,0", "-1:1:0.5", "0:1e300:1", "1,0.5",
     "1e-300,1e300", "csv", "json", "text", "mehler", "all",
-    POINT, POINT_2, DESCRIPTOR, *BAD_INPUTS,
+    POINT, POINT_2, DESCRIPTOR, *BAD_INPUTS, *HOSTILE_FILES,
 ]
 # Pool values that an option parses, so that most examples run a computation;
 # the hostile rest of the pool comes in at random.
