@@ -1,7 +1,8 @@
 """Command-line surface for the kernel and Morse calculators.
 
-Exit codes: 0 success, 2 usage or parse error, 3 mathematical
-infeasibility (a divergent eta integral, or no feasible Morse index).
+Exit codes: 0 success, 1 a `validate` suite failed, 2 usage or parse
+error, 3 mathematical infeasibility (a divergent eta integral, or no
+feasible Morse index).
 Output is deterministic byte for byte: floats print in their shortest
 round-trip form and rows follow a fixed order.
 """

@@ -338,42 +338,32 @@ def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoin
 _EXPONENT_CAP = 1e300
 
 
-def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float, zl: list, wl: list) -> _GaussianFrame:
-    """The Gaussian frame of _eta_node(p, q, t, eta), kept on p as its one boxeta_kernel memo entry.
+def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float) -> tuple:
+    """The memo entry (key, frame, bound) of _eta_node(p, q, t, eta) on p: its one boxeta_kernel entry.
 
     Callers sweep boxeta_kernel over z at a fixed (q, t, eta), so the
     frame (see _node_frame) of the last node is kept on the point, next
     to its cached det_poly and pencil_roots, and reused while the key
     compares equal: its coefficients as a tuple of floats, its core as a
     read-only array.  The entry also keeps the node's coordinate bound
-    sqrt(_EXPONENT_CAP / max(1, max|coef|)): each coordinate of z and w
-    (the lists zl and wl) must be below it in modulus, which one
-    comparison per coordinate tells, and a NaN or infinite one fails it
-    too.  Otherwise NonFinite is raised, and a miss stores nothing.  The
-    key, frame and bound are stored and read as one tuple, so concurrent
-    callers can at worst recompute a node.
+    sqrt(_EXPONENT_CAP / max(1, max|coef|)), which boxeta_kernel checks
+    each coordinate of z and w against.  On a miss the new entry is
+    returned unstored: boxeta_kernel stores it once its pass over the
+    coordinates has succeeded.  The key, frame and bound are stored and
+    read as one tuple, so concurrent callers can at worst recompute a
+    node.
     """
     key = (q, t, eta)
     entry = p.__dict__.get("_boxeta_node")
-    hit = entry is not None and entry[0] == key
-    if not hit:
-        es, bp, bm, core = _finite_node(_eta_node, p, q, t, eta)
-        stacked = _node_frame(es.unitary[None], bp[None], bm[None], _pencil(p, eta).mat[None], core[None])
-        core = stacked.core[0]
-        core.flags.writeable = False
-        # a NaN coefficient makes the bound NaN, which every coordinate fails
-        scale = float(np.max(np.abs(stacked.coef), initial=1.0))
-        entry = (key, _GaussianFrame(tuple(stacked.coef[0].tolist()), core), math.sqrt(_EXPONENT_CAP / scale))
-    bound = entry[2]
-    try:
-        below = all(abs(v) < bound for v in zl) and all(abs(v) < bound for v in wl)
-    except OverflowError:  # Python's abs of a complex past the largest double
-        below = False
-    if not below:
-        raise NonFinite(f"points must be finite and below {bound:.3g} in modulus at eta={eta!r}")
-    if not hit:
-        p.__dict__["_boxeta_node"] = entry
-    return entry[1]
+    if entry is not None and entry[0] == key:
+        return entry
+    es, bp, bm, core = _finite_node(_eta_node, p, q, t, eta)
+    stacked = _node_frame(es.unitary[None], bp[None], bm[None], _pencil(p, eta).mat[None], core[None])
+    core = stacked.core[0]
+    core.flags.writeable = False
+    # a NaN coefficient makes the bound NaN, which every coordinate fails
+    scale = float(np.max(np.abs(stacked.coef), initial=1.0))
+    return key, _GaussianFrame(tuple(stacked.coef[0].tolist()), core), math.sqrt(_EXPONENT_CAP / scale)
 
 
 def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> KernelValue:
@@ -384,34 +374,44 @@ def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> Kern
     node once and each call pays only for the forms in z and w.  It sums
     them in Python floats in one pass over the coordinates, by the
     operations and in the order of _point_terms and _exponent, so the
-    value has the bits of the group kernels' block entry.  A NaN or
-    infinite eta, or a coordinate that is not finite or past the node's
-    bound, raises NonFinite.
+    value has the bits of the group kernels' block entry.  The same pass
+    checks each coordinate of z and w against the node's bound before
+    that coordinate enters any sum: a NaN or infinite one, or one not
+    below the bound in modulus, raises NonFinite, as does a NaN or
+    infinite eta.  A failing call leaves the memo as it was; a miss
+    stores its entry only after the whole pass.
     """
     _check_time(t)
-    b = basis(p.n, q)
+    n = p.n
+    b = basis(n, q)
     eta = float(eta)
-    z = np.asarray(z, dtype=complex).ravel()
-    w = np.asarray(w, dtype=complex).ravel()
-    if z.size != p.n or w.size != p.n:
+    zl = np.asarray(z, dtype=complex).ravel().tolist()
+    wl = np.asarray(w, dtype=complex).ravel().tolist()
+    if len(zl) != n or len(wl) != n:
         raise InvalidArgument("point dimension does not match the curvature data")
     if not math.isfinite(eta):
         raise NonFinite("frequency must be finite")
-    zl, wl = z.tolist(), w.tolist()
-    frame = _memo_node(p, q, t, eta, zl, wl)
+    entry = _memo_node(p, q, t, eta)
+    _, frame, bound = entry
     # _point_terms and _exponent in one pass: each term is formed by the
     # same operations and added in the same order; -0.0 + x is x, bit for bit
     coef = frame.coef
-    m = len(coef) // 2
+    m = n * n
     quad = im = -0.0
     parts = []
     for i, (zk, wk) in enumerate(zip(zl, wl)):
+        try:
+            below = abs(zk) < bound and abs(wk) < bound
+        except OverflowError:  # Python's abs of a complex past the largest double
+            below = False
+        if not below:
+            raise NonFinite(f"points must be finite and below {bound:.3g} in modulus at eta={eta!r}")
         zr, zi, wr, wi = zk.real, zk.imag, wk.real, wk.imag
         x, y = zr - wr, zi - wi
         quad += coef[i] * (x * x + y * y)
         im += coef[m + i] * (zr * wi - zi * wr)
         parts.append((zr, zi, wr, wi, x, y))
-    i = len(parts)
+    i = n
     for a, (zra, zia, wra, wia, xa, ya) in enumerate(parts):
         for zrb, zib, wrb, wib, xb, yb in parts[a + 1:]:
             quad += coef[i] * (xa * xb + ya * yb)
@@ -419,8 +419,10 @@ def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> Kern
             im += coef[m + i] * (zra * wib - zia * wrb + (zrb * wia - zib * wra))
             im += coef[m + i + 1] * (zra * wrb + zia * wib - (zrb * wra + zib * wia))
             i += 2
-    # numpy's product with the core, as in the block
-    return KernelValue(FormEndomorphism(b, np.complex128(cmath.exp(complex(-quad, im))) * frame.core))
+    # a miss stores its entry only now; a hit stores the same one again
+    p.__dict__["_boxeta_node"] = entry
+    # numpy's product with the core, the scalar first, as in the block
+    return KernelValue(FormEndomorphism(b, np.multiply(cmath.exp(complex(-quad, im)), frame.core)))
 
 
 def _quadratic_forms(mat, z, w):

@@ -131,3 +131,16 @@ def test_rss_ceiling_from_the_slope_and_the_parent_medians():
     assert bench_pairs.rss_ceiling(flat, 0.1) == {"ops_per_run": None, "change_ops_per_run": 1301}
     errored = [{"seed": 1, "parent": {"error": "x"}, "change": _run(1300, 70.0)}]
     assert bench_pairs.rss_ceiling(errored, 0.1) == {"ops_per_run": None, "change_ops_per_run": 1300}
+
+
+def test_summary_line_names_gains_broken_bounds_and_the_ceiling():
+    pairs = _pairs([4.0, 4.2, 4.1], [3.0, 3.1, 3.2], "p50")
+    for p, rss in zip(pairs, ([80.0, 90.0], [81.0, 91.0], [82.0, 92.0])):
+        p["parent"]["rss"], p["change"]["rss"] = rss
+    summary = bench_pairs.summarize(pairs, {"p50": "lower", "rss": "lower"}, {"p50": 0.25, "rss": 0.1})
+    entry = {"summary": summary, "rss_ceiling": {"ops_per_run": 1820.4, "change_ops_per_run": 1600}}
+    assert bench_pairs.summary_line("group_kernel", entry) == (
+        "group_kernel: gain holds: p50; past bound: rss; ops/run 1600 against rss_ceiling 1820")
+    entry = {"summary": {}, "rss_ceiling": {"ops_per_run": None, "change_ops_per_run": None}}
+    assert bench_pairs.summary_line("cli_mix", entry) == (
+        "cli_mix: gain holds: none; past bound: none; ops/run n/a against rss_ceiling n/a")

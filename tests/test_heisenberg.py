@@ -207,8 +207,9 @@ def test_boxeta_memo_misses_on_any_key_change(monkeypatch):
 def test_boxeta_memo_arrays_are_read_only():
     p = curvature_point(np.diag([0.6, -0.2]), np.diag([1.0, 0.7]))
     boxeta_kernel(p, 0.3, 1, 0.7, [0.1, 0.2j], [0.0, 0.1])
-    frame = heisenberg._memo_node(p, 1, 0.7, 0.3, [0.1, 0.2j], [0.0, 0.1])
-    assert frame is vars(p)["_boxeta_node"][1]
+    entry = heisenberg._memo_node(p, 1, 0.7, 0.3)
+    assert entry is vars(p)["_boxeta_node"]
+    frame = entry[1]
     # the coefficients are a tuple of floats, the core a read-only array
     assert type(frame.coef) is tuple and len(frame.coef) == 2 * 2**2
     assert all(type(c) is float for c in frame.coef)
@@ -276,6 +277,33 @@ def test_boxeta_bad_coordinates_in_a_sweep_raise_and_keep_the_memo():
                           timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert got.tobytes().hex() == proc.stdout
+
+
+def test_boxeta_bad_last_coordinate_at_n3_raises_after_partial_sums():
+    # the pass checks each coordinate as it reaches it: with the bad value
+    # last in z, or last in w, the first two coordinates have entered the
+    # sums already; the call still ends in NonFinite with no warning, a hit
+    # keeps its entry and a miss stores none
+    rng = np.random.default_rng(43)
+    p = curvature_point(rand_herm(rng, 3), rand_herm(rng, 3))
+    z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = boxeta_kernel(p, -0.6, 2, 0.9, z, w).matrix
+        entry = vars(p)["_boxeta_node"]
+        for bad in (math.nan, math.inf, 1.5 * entry[2]):
+            for side in (0, 1):
+                pts = [z.copy(), w.copy()]
+                pts[side][-1] = bad
+                with pytest.raises(NonFinite):
+                    boxeta_kernel(p, -0.6, 2, 0.9, *pts)
+                assert vars(p)["_boxeta_node"] is entry
+                miss = curvature_point(p.curvature, p.levi)
+                with pytest.raises(NonFinite):
+                    boxeta_kernel(miss, -0.6, 2, 0.9, *pts)
+                assert "_boxeta_node" not in vars(miss)
+        assert boxeta_kernel(p, -0.6, 2, 0.9, z, w).matrix.tobytes() == want.tobytes()
 
 
 def test_boxeta_sweeps_of_two_points_in_alternation():

@@ -22,7 +22,8 @@ of the ops attempted per run (see ops_per_run), and per workload the
 slope of peak_rss_mb on ops attempted (see rss_per_kop) and the ops per
 run at which peak_rss_mb would cross its bound (see rss_ceiling).  A pair in which either
 side errored has no metrics to compare, so the summary leaves it out
-and counts it in pairs_left_out.
+and counts it in pairs_left_out.  After a workload's last pair one
+line (see summary_line) names its held gains and broken bounds.
 """
 
 from __future__ import annotations
@@ -178,6 +179,25 @@ def rss_ceiling(pairs, bound):
     return {"ops_per_run": ceiling, "change_ops_per_run": ops["change"]["median"] if ops["change"] else None}
 
 
+def summary_line(workload: str, entry: dict) -> str:
+    """One line on a workload's entry in BENCH_<tag>.json, printed after its last pair.
+
+    It names the metrics whose gain holds and those not within their
+    bound (see summarize), and gives the change's median ops per run
+    against the rss_ceiling (n/a where either is None).
+    """
+    summary = entry["summary"]
+    gains = [m for m, e in summary.items() if e["gain_holds"]]
+    past = [m for m, e in summary.items() if e.get("within_bound") is False]
+    ceiling = entry["rss_ceiling"]
+
+    def ops(x):
+        return "n/a" if x is None else f"{x:.0f}"
+
+    return (f"{workload}: gain holds: {', '.join(gains) or 'none'}; past bound: {', '.join(past) or 'none'}; "
+            f"ops/run {ops(ceiling['change_ops_per_run'])} against rss_ceiling {ops(ceiling['ops_per_run'])}")
+
+
 def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE,
                           text=True).stdout.strip()
@@ -276,6 +296,7 @@ def main(argv=None) -> int:
                       + " -> ".join(f"{pair[s].get('metrics', {}).get('throughput_ops_s', float('nan')):.4g}"
                                     for s in ("parent", "change"))
                       + (f"  (won {tp['pairs_won']}/{tp['pairs']})" if tp else ""), flush=True)
+            print(summary_line(workload, entry), flush=True)
     finally:
         if worktree is not None:
             _git("worktree", "remove", "--force", worktree)

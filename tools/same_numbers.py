@@ -10,7 +10,9 @@ the case, the SHA-256 of the bytes of its values and the values, or the
 type of the error the call raised.  The battery covers density_diagonal
 (truncated and full line), density_integrand, boxeta_kernel sweeps (the
 first call at a frequency a memo miss, the rest hits, plus misses on a
-fresh point), heisenberg_heat_kernel, heisenberg_kernel_batch forward and
+fresh point, and calls that raise at the last coordinate: NaN in w on a
+hit, a value past the node's bound on a hit and on a miss),
+heisenberg_heat_kernel, heisenberg_kernel_batch forward and
 adjoint, morse_global and heat_trace, at n = 1..3 and every degree q.
 
 --compare matches the records of two such files call by call and prints,
@@ -97,6 +99,18 @@ def battery(crheat, np) -> list:
                 fresh = crheat.curvature_point(p.curvature, p.levi, beta=p.beta)
                 record("boxeta_kernel", f"{tag} eta={eta!r} miss",
                        lambda: crheat.boxeta_kernel(fresh, eta, q, t, sweep[0], w).matrix)
+                # calls that fail at the last coordinate, after the others
+                # entered the sums: NaN in w on a hit, and past every
+                # node's bound (at most 1e150) on a hit and on a miss
+                nan_w = np.append(w[:-1], math.nan)
+                far = np.append(sweep[1][:-1], 1e151)
+                record("boxeta_kernel", f"{tag} eta={eta!r} nan last w",
+                       lambda: crheat.boxeta_kernel(p, eta, q, t, sweep[1], nan_w).matrix)
+                record("boxeta_kernel", f"{tag} eta={eta!r} far last z",
+                       lambda: crheat.boxeta_kernel(p, eta, q, t, far, w).matrix)
+                fresh = crheat.curvature_point(p.curvature, p.levi, beta=p.beta)
+                record("boxeta_kernel", f"{tag} eta={eta!r} far last z miss",
+                       lambda: crheat.boxeta_kernel(fresh, eta, q, t, far, w).matrix)
             for delta in (2.0, None):
                 record("heisenberg_heat_kernel", f"{tag} delta={delta!r}",
                        lambda: crheat.heisenberg_heat_kernel(p, q, t, x, y, delta).matrix)
