@@ -48,6 +48,40 @@ class MultiIndexBasis:
         idx.flags.writeable = False
         return idx
 
+    @cached_property
+    def laplace_levels(self) -> tuple:
+        """Index tables of the Laplace recursion for the q x q minors, one per level k = 2..q.
+
+        Level k holds the k x k minors with row sets R_k and every k-set of
+        columns, each row-major and lexicographic.  R_1 is every row; for
+        k >= 2, R_k keeps the k-sets that are suffixes of q-sets (least
+        element at least q - k), and R_q is the basis.  Expanding a minor
+        along its first row i gives
+            det U[I, J] = sum_m (-1)^m U[i, J_m] det U[I \\ i, J \\ J_m],
+        so level k is read off U and level k-1 through a pair of read-only
+        (k, |R_k|, C(n, k)) flat-index arrays: entry [m, a, b] of the first
+        is the position of U[i, J_m] in the flattened U, that of the second
+        the position of the minor (I \\ i, J \\ J_m) in flattened level k-1.
+        """
+        n, q = self.n, self.q
+        rows_below = {(i,): i for i in range(n)}
+        cols_below = rows_below
+        levels = []
+        for k in range(2, q + 1):
+            rows = [I for I in combinations(range(n), k) if I[0] >= q - k]
+            cols = list(combinations(range(n), k))
+            first = np.array([I[0] * n for I in rows], dtype=np.intp)[:, None]
+            rest = np.array([rows_below[I[1:]] * len(cols_below) for I in rows], dtype=np.intp)[:, None]
+            pick = np.array(cols, dtype=np.intp).T[:, None, :]
+            drop = np.array([[cols_below[J[:m] + J[m + 1 :]] for J in cols] for m in range(k)],
+                            dtype=np.intp)[:, None, :]
+            take_u, take_minor = first + pick, rest + drop
+            take_u.flags.writeable = take_minor.flags.writeable = False
+            levels.append((take_u, take_minor))
+            rows_below = {I: a for a, I in enumerate(rows)}
+            cols_below = {J: b for b, J in enumerate(cols)}
+        return tuple(levels)
+
 
 @dataclass(frozen=True)
 class FormEndomorphism:
@@ -127,25 +161,49 @@ def omega_endomorphism(M, q: int) -> FormEndomorphism:
 def _exterior_power(U: np.ndarray, q: int) -> np.ndarray:
     """exterior_power_matrix without its checks: the eta-node path's form.
 
-    U must be a finite (stack of) square matrix; all C(n,q)^2 minors are
-    gathered into one (..., dim, dim, q, q) stack and taken with a single
-    determinant call, and the index array is cached on the memoized basis.
+    U must be a finite (stack of) square matrix.  For 2 <= q <= n - 2 the
+    minors come from the Laplace recursion along their first rows (see
+    MultiIndexBasis.laplace_levels): level k is one gather from U, one
+    from level k-1, one product and the k terms of each minor added in
+    the order m = 0..k-1, so every entry, alone or in a stack, gets the
+    same bits.  The few but large minors of q >= n - 1 are cheaper by
+    LU: they are gathered into one (..., dim, dim, q, q) stack for one
+    determinant call.  At q = 1 the result is a complex copy of U.
     """
     n = U.shape[-1]
     b = basis(n, q)
+    if q >= n - 1 and q > 1:
+        rows, cols = b.positions[:, None, :, None], b.positions[None, :, None, :]
+        minors = U[rows, cols] if U.ndim == 2 else U[..., rows, cols]
+        return np.linalg.det(minors.astype(complex, copy=False))
+    lead = U.shape[:-2]
     if q == 0:
-        return np.ones(U.shape[:-2] + (1, 1), dtype=complex)
-    rows, cols = b.positions[:, None, :, None], b.positions[None, :, None, :]
-    minors = U[rows, cols] if U.ndim == 2 else U[..., rows, cols]
-    return np.linalg.det(minors.astype(complex, copy=False))
+        return np.ones(lead + (1, 1), dtype=complex)
+    if q == 1:
+        return U.astype(complex)
+    flat = U.reshape(lead + (n * n,)).astype(complex, copy=False)
+    minors = flat
+    for take_u, take_minor in b.laplace_levels:
+        terms = flat.take(take_u, axis=-1)
+        terms *= minors.take(take_minor, axis=-1)
+        level = terms[..., 0, :, :] - terms[..., 1, :, :]
+        for m in range(2, len(take_u)):
+            if m % 2:
+                level -= terms[..., m, :, :]
+            else:
+                level += terms[..., m, :, :]
+        minors = level.reshape(lead + (-1,))
+    return minors.reshape(lead + (len(b.indices),) * 2)
 
 
 def exterior_power_matrix(U, q: int) -> np.ndarray:
     """q-fold exterior power of U on the lexicographic basis (q x q minors).
 
     Entry (r, c) is det U[J_r, J_c].  Leading axes of U stack matrices,
-    as with numpy's det, and the minors of the whole stack go to one
-    determinant call.  A U that is not a (stack of) square matrix raises
+    as with numpy's det, and a stacked matrix gets the bits it gets
+    alone.  The minors come from the Laplace recursion, or from LU at
+    q >= n - 1 (see _exterior_power); the result is never U itself,
+    not even at q = 1.  A U that is not a (stack of) square matrix raises
     InvalidArgument; a NaN or infinite entry, or minors that overflow,
     raise NonFinite.
     """

@@ -147,10 +147,12 @@ def mehler_kernel(A, t: float, x, y) -> complex:
 # node stacks at once.
 _BLOCK_PAIRS = 4096
 
-# Entries per node stack of _fiber_values, counting a node's exterior
-# minors (dim^2 * q^2) or, at q = 0, its n x n eigenvectors: the q x q
-# minors are a stack's largest temporary, 1 MB of complex entries at this
-# cap, so a high-degree kernel evaluates a few nodes per stack (one at
+# Entries per node stack of _fiber_values, counting dim^2 * q^2 per node
+# (at q = 0, its n x n eigenvectors).  That bounds the exterior power's
+# temporaries, a stack's largest, to 1 MB of complex entries at this cap:
+# on its Laplace path the top level's two gathers of (q, dim, dim)
+# products per node, on its LU path (q >= n - 1) the (dim, dim, q, q)
+# minors.  A high-degree kernel evaluates a few nodes per stack (one at
 # n = 8, q = 4) while the small kernels take whole rounds in one stack.
 _BLOCK_MINORS = 1 << 16
 

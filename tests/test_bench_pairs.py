@@ -41,8 +41,19 @@ def test_lower_is_better_and_ties():
     s = bench_pairs.summarize(_pairs(parent, [9.0, 9.5, 11.5, 13.5], "ms"), {"ms": "lower"})["ms"]
     assert s["pairs_won"] == 4 and s["parent"]["q3"] - s["parent"]["q1"] == pytest.approx(2.5)
     assert not s["gain_holds"]
-    s = bench_pairs.summarize(_pairs(parent, [5.0, 6.0, 7.0, 8.0], "ms"), {"ms": "lower"})["ms"]
-    assert s["gain_holds"]
+    s = bench_pairs.summarize(_pairs(parent * 3, [5.0, 6.0, 7.0, 8.0] * 3, "ms"), {"ms": "lower"})["ms"]
+    assert s["pairs"] == 12 and s["gain_holds"]
+
+
+def test_four_of_four_wins_is_no_gain():
+    # every pair won, by far more than the parent's interquartile range,
+    # but 4 of 4 happens by chance 1 time in 16: below 10 pairs no gain holds
+    parent, change = [10.0, 10.0, 12.0, 14.0], [5.0, 6.0, 7.0, 8.0]
+    s = bench_pairs.summarize(_pairs(parent, change, "ms"), {"ms": "lower"})["ms"]
+    assert (s["pairs"], s["pairs_won"]) == (4, 4) and not s["gain_holds"]
+    s = bench_pairs.summarize(_pairs(parent * 3, change * 3, "ms")[:9], {"ms": "lower"})["ms"]
+    assert s["pairs_won"] == 9 and not s["gain_holds"]
+    assert bench_pairs.summarize(_pairs(parent * 3, change * 3, "ms")[:10], {"ms": "lower"})["ms"]["gain_holds"]
 
 
 def test_bound_and_missing_metrics():
@@ -53,7 +64,7 @@ def test_bound_and_missing_metrics():
     pairs[0]["change"].pop("rss")
     assert bench_pairs.summarize(pairs, {"rss": "lower"}) == {}
     one = bench_pairs.summarize(_pairs([3.0], [2.0], "x"), {"x": "lower"})["x"]
-    assert one["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0} and one["gain_holds"]
+    assert one["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0} and not one["gain_holds"]
 
 
 def test_run_argument_is_checked():
@@ -134,8 +145,8 @@ def test_rss_ceiling_from_the_slope_and_the_parent_medians():
 
 
 def test_summary_line_names_gains_broken_bounds_and_the_ceiling():
-    pairs = _pairs([4.0, 4.2, 4.1], [3.0, 3.1, 3.2], "p50")
-    for p, rss in zip(pairs, ([80.0, 90.0], [81.0, 91.0], [82.0, 92.0])):
+    pairs = _pairs([4.0, 4.2, 4.1] * 4, [3.0, 3.1, 3.2] * 4, "p50")[:10]
+    for p, rss in zip(pairs, ([80.0, 90.0], [81.0, 91.0], [82.0, 92.0]) * 4):
         p["parent"]["rss"], p["change"]["rss"] = rss
     summary = bench_pairs.summarize(pairs, {"p50": "lower", "rss": "lower"}, {"p50": 0.25, "rss": 0.1})
     entry = {"summary": summary, "rss_ceiling": {"ops_per_run": 1820.4, "change_ops_per_run": 1600}}

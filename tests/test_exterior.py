@@ -1,18 +1,20 @@
 """Multi-index bases, wedge-contract endomorphisms, and the two exponential paths."""
 
+import itertools
 import math
 import os
 import pathlib
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import crheat
 from crheat.errors import DegreeOutOfRange, InvalidArgument, NonFinite
-from crheat.exterior import _exterior_power, basis, exp_endo, exterior_power_matrix, omega_endomorphism
+from crheat.exterior import MultiIndexBasis, _exterior_power, basis, exp_endo, exterior_power_matrix, omega_endomorphism
 from crheat.hermitian import eig_hermitian
 
 
@@ -186,6 +188,40 @@ def _minor_loop(u, q):
     return out
 
 
+def _on_lu_path(n, q):
+    """The degrees _exterior_power leaves to LAPACK's LU: few but large minors."""
+    return q >= max(2, n - 1)
+
+
+def _exact_minors(u, q):
+    """Every q x q minor of u by the Leibniz formula in exact rational arithmetic, rounded once.
+
+    The entries (floats, so dyadic rationals) are scaled to Gaussian
+    integers over one common power of two; each minor's integer parts
+    are then divided back as a Fraction and rounded to the nearest float.
+    """
+    u = np.asarray(u, dtype=complex)
+    parts = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in u.tolist()]
+    den = max(f.denominator for row in parts for z in row for f in z)
+    ints = [[(int(a * den), int(b * den)) for a, b in row] for row in parts]
+    perms = [(p, (-1) ** sum(p[i] > p[j] for i in range(q) for j in range(i + 1, q)))
+             for p in itertools.permutations(range(q))]
+    sets = list(itertools.combinations(range(u.shape[0]), q))
+    out = np.empty((len(sets), len(sets)), dtype=complex)
+    for r, rows in enumerate(sets):
+        for c, cols in enumerate(sets):
+            re = im = 0
+            for p, sign in perms:
+                pr, pi = 1, 0
+                for i in range(q):
+                    a, b = ints[rows[i]][cols[p[i]]]
+                    pr, pi = pr * a - pi * b, pr * b + pi * a
+                re += sign * pr
+                im += sign * pi
+            out[r, c] = complex(float(Fraction(re, den**q)), float(Fraction(im, den**q)))
+    return out
+
+
 def test_exterior_power_matches_minor_loop():
     rng = np.random.default_rng(6)
     for n in range(1, 7):
@@ -193,7 +229,59 @@ def test_exterior_power_matches_minor_loop():
         for q in range(n + 1):
             got = exterior_power_matrix(u, q)
             assert got.shape == (math.comb(n, q),) * 2
-            assert np.array_equal(got, _minor_loop(u, q))
+            if q == 0 or _on_lu_path(n, q):
+                # the LU degrees keep LAPACK's bits
+                assert np.array_equal(got, _minor_loop(u, q))
+    # The Laplace degrees are exact on Gaussian integers, where every
+    # partial sum of the recursion is an integer far below 2^53.
+    for n in range(1, 8):
+        g = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
+        for q in range(1, n + 1):
+            if not _on_lu_path(n, q):
+                assert np.array_equal(exterior_power_matrix(g, q), _exact_minors(g, q)), (n, q)
+    # On entries of modulus at most 1 they stay within two ulps at 1 of
+    # the exact minors rounded once, one ulp on unitary matrices: seeded
+    # runs of 40 random complex (scaled to a largest modulus of 1) and 40
+    # random unitary matrices at each n = 3..7 measured at most 4.44e-16
+    # and 2.22e-16 in a real or imaginary part.
+    for n in range(3, 8):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for u, bound in ((a / np.max(np.abs(a)), 4.5e-16), (eig_hermitian(a + a.conj().T).unitary, 2.3e-16)):
+            for q in range(1, n - 1):
+                err = exterior_power_matrix(u, q) - _exact_minors(u, q)
+                assert max(np.max(np.abs(err.real)), np.max(np.abs(err.imag))) <= bound, (n, q)
+
+
+def test_exterior_power_stack_gives_the_bits_of_its_matrices():
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        u = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        for q in range(n + 1):
+            alone = [_exterior_power(m, q) for m in u]
+            assert all(np.array_equal(a, b) for a, b in zip(_exterior_power(u, q), alone)), (n, q)
+            grid = _exterior_power(u.reshape(2, 3, n, n), q)
+            assert np.array_equal(grid.reshape((6,) + grid.shape[2:]), np.array(alone)), (n, q)
+
+
+def test_exterior_power_of_degree_one_is_a_fresh_copy():
+    for u in (np.arange(9.0).reshape(3, 3) + 1j, np.eye(4), np.ones((2, 3, 3), dtype=complex)):
+        got = exterior_power_matrix(u, 1)
+        assert got is not u and not np.shares_memory(got, u)
+        assert np.array_equal(got, u)
+        got[...] = 7.0
+        assert not (u == 7.0).any()
+
+
+def test_hostile_degrees_raise_before_any_table_is_built(monkeypatch):
+    def built(self):
+        raise AssertionError("an index table was read")
+
+    for table in ("positions", "laplace_levels"):
+        monkeypatch.setattr(MultiIndexBasis, table, property(built))
+    u = eig_hermitian(np.array([[-1.0, 0.3], [0.3, 1.0]])).unitary
+    for q in (math.nan, 1.5):
+        with pytest.raises(InvalidArgument):
+            exterior_power_matrix(u, q)
 
 
 def test_exterior_power_checks_its_input_and_the_node_form_does_not():

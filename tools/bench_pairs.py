@@ -40,6 +40,10 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# Fewest pairs on which summarize lets a gain hold: 4 of 4 won by chance
+# has odds 1 in 16, 9 of 10 about 1 in 100.
+MIN_GAIN_PAIRS = 10
+
 
 def _quartiles(values):
     if len(values) == 1:
@@ -57,8 +61,9 @@ def summarize(pairs, better, bounds=None):
     median and quartiles, the ratio of the medians and the median, min
     and max of the per-pair ratios (change/parent), the pairs the change
     won (strictly better; ties count for neither), and whether a gain
-    holds: won in at least nine tenths of the pairs, and the medians
-    apart by more than the parent's interquartile range.  With a bound,
+    holds: at least MIN_GAIN_PAIRS pairs, won in at least nine tenths of
+    them, and the medians apart by more than the parent's interquartile
+    range.  With a bound,
     within_bound says the change's median is not worse by more than it.
     """
     bounds = bounds or {}
@@ -86,7 +91,8 @@ def summarize(pairs, better, bounds=None):
             "pairs": len(rows),
             "pairs_won": won,
             "ties": ties,
-            "gain_holds": won >= math.ceil(0.9 * len(rows)) and sign * (cm - pm) > pq[1] - pq[0],
+            "gain_holds": (len(rows) >= MIN_GAIN_PAIRS and won >= math.ceil(0.9 * len(rows))
+                           and sign * (cm - pm) > pq[1] - pq[0]),
         }
         if metric in bounds:
             worse = -sign * (cm - pm) / abs(pm) if pm else 0.0

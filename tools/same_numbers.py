@@ -13,7 +13,9 @@ first call at a frequency a memo miss, the rest hits, plus misses on a
 fresh point, and calls that raise at the last coordinate: NaN in w on a
 hit, a value past the node's bound on a hit and on a miss),
 heisenberg_heat_kernel, heisenberg_kernel_batch forward and
-adjoint, morse_global and heat_trace, at n = 1..3 and every degree q.
+adjoint, morse_global and heat_trace, at n = 1..3 and every degree q;
+then density_diagonal (truncated and full line) at n = 4..6, q = 2, 3,
+and heisenberg_heat_kernel at n = 4, q = 2.
 
 --compare matches the records of two such files call by call and prints,
 per function, the calls, how many are bitwise equal, the largest relative
@@ -124,6 +126,20 @@ def battery(crheat, np) -> list:
                 record("morse_global", f"{tag} delta={delta!r}", lambda: crheat.morse_global(d, q, delta))
             record("heat_trace", f"{tag} delta=2", lambda: crheat.heat_trace(d, q, 0.5, 2.0))
             record("heat_trace", f"{tag} full", lambda: crheat.heat_trace(d, q, 0.5))
+    # larger n at q = 2, 3: the exterior power's Laplace path, and its LU
+    # path at n = 4, q = 3
+    for n in (4, 5, 6):
+        p = crheat.curvature_point(herm(n), herm(n))
+        t = float(rng.uniform(0.4, 1.5))
+        for q in (2, 3):
+            tag = f"n={n} q={q}"
+            record("density_diagonal", f"{tag} delta=2", lambda: crheat.density_diagonal(p, q, t, 2.0).matrix)
+            record("density_diagonal", f"{tag} full", lambda: crheat.density_diagonal(p, q, t).matrix)
+        if n == 4:
+            x = crheat.HeisenbergPoint(tuple(cz(n)), 0.2)
+            y = crheat.HeisenbergPoint(tuple(cz(n)), -0.3)
+            record("heisenberg_heat_kernel", "n=4 q=2 delta=2.0",
+                   lambda: crheat.heisenberg_heat_kernel(p, 2, t, x, y, 2.0).matrix)
     return records
 
 
