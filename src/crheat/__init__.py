@@ -13,7 +13,6 @@ from .density import (
     curvature_point,
     density_diagonal,
     density_integrand,
-    limit_integrand,
     tail_certificate,
     tail_decay,
     y_condition,
@@ -107,7 +106,6 @@ __all__ = [
     "heisenberg_heat_kernel",
     "heisenberg_kernel_batch",
     "integrate_adaptive",
-    "limit_integrand",
     "load_descriptor",
     "load_point",
     "mehler_kernel",

@@ -24,7 +24,6 @@ from .errors import (
     InvalidArgument,
     NonFinite,
     NonRigidTruncation,
-    OnSignatureBoundary,
     ZeroPolynomial,
 )
 from .exterior import FormEndomorphism, _exterior_power, basis, check_degree
@@ -48,9 +47,9 @@ _DECAY_FACTOR_CONST = 1.0 / (1.0 - math.exp(-1.0))
 class CurvaturePoint:
     """Per-point model data: dimension, Levi form, curvature form, beta, weight.
 
-    The pencil's determinant polynomial and its real roots are computed
-    on first use and kept (as tuples, so no caller can alter them), and
-    every eta-integral at the point shares one expansion.
+    The real roots of the pencil's determinant are computed on first use
+    and kept (as a tuple, so no caller can alter them), and every
+    eta-integral at the point shares them.
     """
 
     n: int
@@ -70,18 +69,13 @@ class CurvaturePoint:
             raise InvalidArgument("quadrature weight must be positive")
 
     @cached_property
-    def det_poly(self) -> tuple:
-        """Coefficients c_0..c_deg of det M(eta) (see pencil_det_poly)."""
-        return tuple(pencil_det_poly(self.curvature.mat, self.levi.mat))
-
-    @cached_property
     def pencil_roots(self) -> tuple:
-        """Sorted real roots of det M(eta).
+        """Sorted real roots of det M(eta), from pencil_det_poly's coefficients.
 
         Raises IdenticallyDegeneratePencil when det M vanishes for every eta.
         """
         try:
-            return tuple(pencil_real_roots(self.det_poly))
+            return tuple(pencil_real_roots(pencil_det_poly(self.curvature.mat, self.levi.mat)))
         except ZeroPolynomial as exc:
             raise IdenticallyDegeneratePencil("pencil determinant vanishes identically") from exc
 
@@ -407,19 +401,19 @@ def _eta_integral(p: CurvaturePoint, q: int, t: float, delta, f, tol: float, wid
     except IdenticallyDegeneratePencil:
         roots = []
     if delta is not None:
-        return integrate_adaptive(f, -delta, delta, tol, tol, interior_breaks=roots, max_width=width)
+        return integrate_adaptive(f, -delta, delta, tol, interior_breaks=roots, max_width=width)
     c_norm = frobenius_norm(p.curvature.mat)
     l_norm = frobenius_norm(p.levi.mat)
     H = 2.0 * (1.0 + (max(abs(r) for r in roots) if roots else 0.0))
-    total = integrate_adaptive(f, -H, H, tol, tol, interior_breaks=roots, max_width=width)
+    total = integrate_adaptive(f, -H, H, tol, interior_breaks=roots, max_width=width)
     plus = _tail_bound(c_norm, l_norm, p.n, t, rep.rate_plus)
     minus = _tail_bound(c_norm, l_norm, p.n, t, rep.rate_minus)
     for _ in range(60):
         cert = plus(H) + minus(H)
         if cert * cert_scale <= 1e-12 * float(np.max(np.abs(total))):
             return total
-        total = total + integrate_adaptive(f, H, 2.0 * H, tol, tol, max_width=width)
-        total = total + integrate_adaptive(f, -2.0 * H, -H, tol, tol, max_width=width)
+        total = total + integrate_adaptive(f, H, 2.0 * H, tol, max_width=width)
+        total = total + integrate_adaptive(f, -2.0 * H, -H, tol, max_width=width)
         H *= 2.0
     raise DivergentIntegral("tail certificate did not close after 60 window doublings")
 
@@ -478,34 +472,3 @@ def _signature_at(R: np.ndarray, L: np.ndarray, eta: float):
     neg = int(np.sum(mu < -dead))
     pos = int(np.sum(mu > dead))
     return neg, pos, len(mu) - neg - pos
-
-
-def limit_integrand(p: CurvaturePoint, q: int, j: int, eta: float) -> float:
-    """|det M(eta)| when M(eta) has exactly j negative and n-j positive eigenvalues, else 0.
-
-    This is the pointwise t -> infinity limit of the degree-q integrand
-    trace restricted to the signature-j region; the limit is nonzero only
-    for q = j, and the value itself depends on j alone.  q is validated
-    for range and otherwise unused.  A non-finite eta, or one where
-    |det M(eta)| is too large to represent, raises NonFinite.
-    """
-    n = p.n
-    check_degree(n, q)
-    check_degree(n, j, "j")
-    if not math.isfinite(eta):
-        raise NonFinite("eta must be finite")
-    coeffs = np.asarray(p.det_poly)
-    cmax = float(np.max(np.abs(coeffs)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = cmax * np.float64(max(1.0, abs(eta))) ** n
-        value = float(np.polynomial.polynomial.polyval(eta, coeffs))
-    if not (math.isfinite(scale) and math.isfinite(value)):
-        raise NonFinite(f"det M(eta) overflows at eta={eta!r}")
-    if abs(value) < 1e-12 * scale:
-        raise OnSignatureBoundary(f"eta={eta} is numerically on a pencil root")
-    negatives, _, zeros = _signature_at(p.curvature.mat, p.levi.mat, eta)
-    if zeros:
-        raise OnSignatureBoundary(f"pencil eigenvalue within dead band at eta={eta}")
-    if negatives == j:
-        return abs(value)
-    return 0.0

@@ -69,10 +69,6 @@ class NonRigidTruncation(CrheatError):
     """A truncated integral was requested with beta != 0."""
 
 
-class OnSignatureBoundary(CrheatError):
-    """eta sits on (or numerically too close to) a pencil root."""
-
-
 class IdenticallyDegeneratePencil(CrheatError):
     """det(R - 2*eta*L) vanishes for every eta."""
 

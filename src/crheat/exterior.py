@@ -42,13 +42,6 @@ class MultiIndexBasis:
         return inside
 
     @cached_property
-    def positions(self) -> np.ndarray:
-        """Read-only (dim, q) integer matrix of the multi-indices, 0-based."""
-        idx = np.array(self.indices, dtype=np.intp).reshape(len(self.indices), self.q) - 1
-        idx.flags.writeable = False
-        return idx
-
-    @cached_property
     def laplace_levels(self) -> tuple:
         """Index tables of the Laplace recursion for the q x q minors, one per level k = 2..q.
 
@@ -161,26 +154,23 @@ def omega_endomorphism(M, q: int) -> FormEndomorphism:
 def _exterior_power(U: np.ndarray, q: int) -> np.ndarray:
     """exterior_power_matrix without its checks: the eta-node path's form.
 
-    U must be a finite (stack of) square matrix.  For 2 <= q <= n - 2 the
+    U must be a finite (stack of) square matrix.  For 2 <= q <= n - 1 the
     minors come from the Laplace recursion along their first rows (see
     MultiIndexBasis.laplace_levels): level k is one gather from U, one
     from level k-1, one product and the k terms of each minor added in
     the order m = 0..k-1, so every entry, alone or in a stack, gets the
-    same bits.  The few but large minors of q >= n - 1 are cheaper by
-    LU: they are gathered into one (..., dim, dim, q, q) stack for one
-    determinant call.  At q = 1 the result is a complex copy of U.
+    same bits.  At q = n the one minor is det U, by LAPACK's LU on U
+    taken as complex; at q = 1 the result is a complex copy of U.
     """
     n = U.shape[-1]
     b = basis(n, q)
-    if q >= n - 1 and q > 1:
-        rows, cols = b.positions[:, None, :, None], b.positions[None, :, None, :]
-        minors = U[rows, cols] if U.ndim == 2 else U[..., rows, cols]
-        return np.linalg.det(minors.astype(complex, copy=False))
     lead = U.shape[:-2]
     if q == 0:
         return np.ones(lead + (1, 1), dtype=complex)
     if q == 1:
         return U.astype(complex)
+    if q == n:
+        return np.linalg.det(U.astype(complex, copy=False))[..., None, None]
     flat = U.reshape(lead + (n * n,)).astype(complex, copy=False)
     minors = flat
     for take_u, take_minor in b.laplace_levels:
@@ -201,8 +191,8 @@ def exterior_power_matrix(U, q: int) -> np.ndarray:
 
     Entry (r, c) is det U[J_r, J_c].  Leading axes of U stack matrices,
     as with numpy's det, and a stacked matrix gets the bits it gets
-    alone.  The minors come from the Laplace recursion, or from LU at
-    q >= n - 1 (see _exterior_power); the result is never U itself,
+    alone.  The minors come from the Laplace recursion, and det U from
+    LU at q = n (see _exterior_power); the result is never U itself,
     not even at q = 1.  A U that is not a (stack of) square matrix raises
     InvalidArgument; a NaN or infinite entry, or minors that overflow,
     raise NonFinite.

@@ -150,10 +150,10 @@ _BLOCK_PAIRS = 4096
 # Entries per node stack of _fiber_values, counting dim^2 * q^2 per node
 # (at q = 0, its n x n eigenvectors).  That bounds the exterior power's
 # temporaries, a stack's largest, to 1 MB of complex entries at this cap:
-# on its Laplace path the top level's two gathers of (q, dim, dim)
-# products per node, on its LU path (q >= n - 1) the (dim, dim, q, q)
-# minors.  A high-degree kernel evaluates a few nodes per stack (one at
-# n = 8, q = 4) while the small kernels take whole rounds in one stack.
+# the top Laplace level's two gathers of (q, dim, dim) products per node
+# (at q = n, the n x n matrix whose determinant is the one minor).  A
+# high-degree kernel evaluates a few nodes per stack (one at n = 8,
+# q = 4) while the small kernels take whole rounds in one stack.
 _BLOCK_MINORS = 1 << 16
 
 
@@ -345,7 +345,7 @@ def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float) -> tuple:
 
     Callers sweep boxeta_kernel over z at a fixed (q, t, eta), so the
     frame (see _node_frame) of the last node is kept on the point, next
-    to its cached det_poly and pencil_roots, and reused while the key
+    to its cached pencil_roots, and reused while the key
     compares equal: its coefficients as a tuple of floats, its core as a
     read-only array.  The entry also keeps the node's coordinate bound
     sqrt(_EXPONENT_CAP / max(1, max|coef|)), which boxeta_kernel checks

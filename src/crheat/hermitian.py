@@ -244,10 +244,11 @@ def pencil_det_poly(R, L) -> list[float]:
     The determinant is multilinear in rows, so the eta^k coefficient is
     (-2)^k times the sum of determinants over all ways of taking k rows
     from L and the rest from R.  At desk scale (2^n determinants) this is
-    exact up to LU roundoff, with no interpolation step.  Coefficients
-    below 1e-12 of the largest are clamped and trailing zeros trimmed, so
-    the degree equals n exactly when det L is nonzero.  A coefficient
-    too large to represent raises NonFinite.
+    exact up to LU roundoff, with no interpolation step.  A coefficient
+    is zeroed only within its own rounding bound (see _log_rounding_floor),
+    and trailing zeros are trimmed, so the degree equals n exactly when
+    det L is nonzero, at any ratio of the scales of R and L.  A
+    coefficient too large to represent raises NonFinite.
     """
     Rm = as_hermitian(R)
     Lm = as_hermitian(L)
@@ -275,13 +276,38 @@ def pencil_det_poly(R, L) -> list[float]:
     cmax = float(np.max(np.abs(coeffs)))
     if cmax > 0 and float(np.max(np.abs(coeffs.imag))) > 1e-9 * max(1.0, cmax):
         raise NonHermitian("pencil expansion produced complex coefficients")
-    out = coeffs.real.copy()
-    if cmax > 0:
-        out[np.abs(out) < 1e-12 * cmax] = 0.0
-    trimmed = list(out)
+    floor = _log_rounding_floor(Rm, Lm)
+    trimmed = [0.0 if c == 0.0 or math.log(abs(c)) <= f else c for c, f in zip(coeffs.real.tolist(), floor)]
     while len(trimmed) > 1 and trimmed[-1] == 0.0:
         trimmed.pop()
-    return [float(c) for c in trimmed]
+    return trimmed
+
+
+def _log_rounding_floor(R: np.ndarray, L: np.ndarray) -> list[float]:
+    """log of 64 n eps 2^k E_k for k = 0..n: the rounding bound of pencil_det_poly's c_k.
+
+    By Hadamard's inequality a determinant is at most the product of its
+    rows' norms, so with r_i and l_i the row norms of R and L, the
+    determinants summed into c_k add up to at most E_k, the x^k
+    coefficient of prod_i (r_i + x l_i), and |c_k| <= 2^k E_k.  The norms
+    are taken of R and L divided by s, their largest real or imaginary
+    part in modulus, and s^n enters as n log s, so no scale overflows.
+    A zero E_k gives -inf.
+    """
+    n = R.shape[0]
+    parts = np.stack((R, L)).view(np.float64)  # real and imaginary parts, row by row
+    s = float(np.abs(parts).max())
+    if s == 0.0:
+        return [-math.inf] * (n + 1)
+    parts = parts / s
+    r_norms, l_norms = np.sqrt((parts * parts).sum(axis=2)).tolist()
+    e = [1.0] + [0.0] * n
+    for r, l in zip(r_norms, l_norms):
+        for k in range(n, 0, -1):
+            e[k] = e[k] * r + e[k - 1] * l
+        e[0] *= r
+    head = math.log(64 * n * math.ulp(1.0)) + n * math.log(s)
+    return [head + k * math.log(2.0) + math.log(v) if v > 0.0 else -math.inf for k, v in enumerate(e)]
 
 
 def _polyval(coeffs: np.ndarray, x: float) -> float:
@@ -294,7 +320,9 @@ def pencil_real_roots(p) -> list[float]:
     Companion-matrix candidates (numpy polyroots) are polished by bisection,
     with a damped Newton fallback for even-multiplicity roots where no sign
     change brackets the candidate.  A NaN or infinite coefficient raises
-    NonFinite.
+    NonFinite, and so does a polynomial whose roots are too large for
+    its companion matrix or for its value at a real candidate to be
+    represented.
     """
     coeffs = np.asarray(p, dtype=float)
     if not np.isfinite(coeffs).all():
@@ -306,20 +334,25 @@ def pencil_real_roots(p) -> list[float]:
     if deg == 0:
         return []
     work = coeffs[: deg + 1]
-    candidates = np.polynomial.polynomial.polyroots(work)
     target = 1e-12 * cmax
     roots = []
-    for z in candidates:
-        # even-multiplicity roots surface as conjugate pairs split by up to
-        # ~1e-8; filter loosely on imag, then strictly on the residual
-        if abs(z.imag) >= 1e-5 * (1.0 + abs(z.real)):
-            continue
-        r = float(z.real)
-        r = _polish_root(work, r, target)
-        scale = cmax * max(1.0, abs(r)) ** deg
-        if abs(_polyval(work, r)) > 1e-9 * scale:
-            continue
-        roots.append(r)
+    # overflow, in the companion matrix or in a value far out, leaves
+    # non-finite numbers, which raise below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(work[:-1] / work[-1]).all():
+            raise NonFinite("polynomial roots too large to represent")
+        for z in np.polynomial.polynomial.polyroots(work):
+            # even-multiplicity roots surface as conjugate pairs split by up to
+            # ~1e-8; filter loosely on imag, then strictly on the residual
+            if abs(z.imag) >= 1e-5 * (1.0 + abs(z.real)):
+                continue
+            r = _polish_root(work, float(z.real), target)
+            residual = abs(_polyval(work, r))
+            if not math.isfinite(residual):
+                raise NonFinite(f"polynomial value at the root {r!r} is too large to represent")
+            if residual > 1e-9 * cmax * np.float64(max(1.0, abs(r))) ** deg:
+                continue
+            roots.append(r)
     roots.sort()
     merged: list[float] = []
     for r in roots:

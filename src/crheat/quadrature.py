@@ -69,8 +69,8 @@ def integrate_adaptive(
     f,
     a: float,
     b: float,
-    tol_abs: float = 1e-9,
-    tol_rel: float = 1e-9,
+    tol: float = 1e-9,
+    *,
     interior_breaks=(),
     max_width: float | None = None,
 ):
@@ -81,7 +81,7 @@ def integrate_adaptive(
     edges (the integrand may have removable kinks there, e.g. pencil roots);
     max_width caps the initial panel width for oscillatory integrands.
     Returns the accumulated value; the combined Kronrod-vs-Gauss error is
-    driven below tol_abs + tol_rel * |result|.  Raises InvalidArgument
+    driven below tol * (1 + |result|).  Raises InvalidArgument
     for b < a or a max_width that is not positive (NaN included);
     NonFinite for an infinite limit, when f returns a NaN or infinite
     value at any node, or when a panel sum or the total overflows; and
@@ -136,7 +136,8 @@ def integrate_adaptive(
             for v in values:
                 total = total + v
         err_total = sum(errors)
-        target = tol_abs + tol_rel * _norm(total)
+        # not tol * (1 + |total|), which rounds differently
+        target = tol + tol * _norm(total)
         if not math.isfinite(err_total + target):
             raise NonFinite("a panel sum overflows: the integral is too large to represent")
         if err_total <= target:

@@ -50,8 +50,7 @@ BASE = {
     "heisenberg_heat_kernel": (P, 1, 1.0, X, Y, 2.0),
     "heisenberg_kernel_batch": (P, 1, 1.0, X, np.array([[0.2, 0.1j], [0.0, 0.3]]),
                                 np.array([-0.1, 0.4]), 2.0),
-    "integrate_adaptive": (np.cos, 0.0, 2.0, 1e-9, 1e-9, [1.0], 0.5),
-    "limit_integrand": (P, 1, 1, 0.3),
+    "integrate_adaptive": (np.cos, 0.0, 2.0, 1e-9),
     "mehler_kernel": (C, 1.0, np.array([0.1, 0.2, 0.0, -0.3]), np.array([0.2, 0.0, 0.0, 0.1])),
     "morse_global": (D, 1, 2.0),
     "morse_local": (C, L, 1, 2.0),
@@ -64,6 +63,9 @@ BASE = {
     "tanh_ratio": (0.5, 1.0),
     "y_condition": ([1.0, -1.0], 1),
 }
+
+# Keyword-only arguments of a base call, fuzzed like the positional ones.
+KEYWORDS = {"integrate_adaptive": {"interior_breaks": [1.0], "max_width": 0.5}}
 
 # Exported functions that take no numeric argument.
 NO_NUMBERS = ("load_descriptor", "load_point", "save_descriptor", "save_point")
@@ -112,12 +114,12 @@ def _finite(value) -> bool:
     return bool(np.isfinite(np.asarray(value)).all())
 
 
-def _outcome(name, args):
+def _outcome(name, args, kwargs):
     """None when the call ends well, else a description of how it ended."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            result = getattr(crheat, name)(*args)
+            result = getattr(crheat, name)(*args, **kwargs)
         except CrheatError:
             return None
         except Exception as exc:  # noqa: BLE001 - any other exception is the finding
@@ -138,18 +140,23 @@ def test_every_exported_function_has_a_base_call():
 
 @pytest.mark.parametrize("name", sorted(BASE))
 def test_hostile_numbers_end_in_a_finite_result_or_a_typed_error(name):
-    base = BASE[name]
-    assert _outcome(name, base) is None
-    assert _finite(getattr(crheat, name)(*base))
+    base, keywords = BASE[name], KEYWORDS.get(name, {})
+    assert _outcome(name, base, keywords) is None
+    assert _finite(getattr(crheat, name)(*base, **keywords))
     bad = []
     for pos, arg in enumerate(base):
         if not _numeric(arg) or (name, pos) in LEFT_OUT:
             continue
         for value in HOSTILE:
             args = base[:pos] + (_replace(arg, value),) + base[pos + 1:]
-            outcome = _outcome(name, args)
+            outcome = _outcome(name, args, keywords)
             if outcome is not None:
                 bad.append((pos, value, outcome))
+    for key, arg in keywords.items():
+        for value in HOSTILE:
+            outcome = _outcome(name, base, {**keywords, key: _replace(arg, value)})
+            if outcome is not None:
+                bad.append((key, value, outcome))
     assert bad == []
 
 
@@ -171,8 +178,10 @@ HOLES = [
     ("exp_endo", (C, 1, math.nan), NonFinite),
     ("exp_endo", (C, 1, math.inf), NonFinite),
     ("exp_endo", (C, 1, -1e3), NonFinite),
-    ("limit_integrand", (P, 1, 1, math.inf), NonFinite),
-    ("limit_integrand", (P, 1, 0.5, 0.3), InvalidArgument),
+    # a companion matrix that overflows, and a near-real pair of roots at
+    # 1e150 where the polynomial's value overflows
+    ("pencil_real_roots", ([1.0, 0.0, 1e-309],), NonFinite),
+    ("pencil_real_roots", ([-1.00000000000001e300, 1.00000000000001e300, -2e150, 1.0],), NonFinite),
     ("morse_local", (C, L, 1.5), InvalidArgument),
     ("tail_decay", (L, 0.5), InvalidArgument),
     ("basis", (2, True), InvalidArgument),

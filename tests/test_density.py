@@ -13,19 +13,16 @@ from crheat.density import (
     curvature_point,
     density_diagonal,
     density_integrand,
-    limit_integrand,
     tail_certificate,
     tail_decay,
     y_condition,
 )
 from crheat.errors import (
     CrheatError,
-    DegreeOutOfRange,
     DivergentIntegral,
     InvalidArgument,
     NonFinite,
     NonRigidTruncation,
-    OnSignatureBoundary,
 )
 from crheat.exterior import exp_endo, exterior_power_matrix
 from crheat.heisenberg import (
@@ -206,16 +203,6 @@ def test_integrand_trace_positive():
 def test_integrand_large_t_recovers_absolute_determinant():
     got = density_integrand(P_INDEF, 1, 200.0, 0.0).trace.real
     assert got == pytest.approx(1.0, rel=1e-12)
-
-
-def test_limit_integrand_examples():
-    assert limit_integrand(P_INDEF, 1, 1, 0.0) == pytest.approx(1.0, rel=1e-13)
-    assert limit_integrand(P_INDEF, 1, 0, 0.0) == 0.0
-    assert limit_integrand(P_INDEF, 0, 0, -1.0) == pytest.approx(3.0, rel=1e-13)
-    with pytest.raises(OnSignatureBoundary):
-        limit_integrand(P_INDEF, 1, 1, 0.5)
-    with pytest.raises(DegreeOutOfRange):
-        limit_integrand(P_INDEF, 1, 3, 0.0)
 
 
 def test_diagonal_delta_zero_is_zero():

@@ -189,8 +189,8 @@ def _minor_loop(u, q):
 
 
 def _on_lu_path(n, q):
-    """The degrees _exterior_power leaves to LAPACK's LU: few but large minors."""
-    return q >= max(2, n - 1)
+    """The degree _exterior_power leaves to LAPACK's LU: the one minor det U."""
+    return q == n >= 2
 
 
 def _exact_minors(u, q):
@@ -230,7 +230,7 @@ def test_exterior_power_matches_minor_loop():
             got = exterior_power_matrix(u, q)
             assert got.shape == (math.comb(n, q),) * 2
             if q == 0 or _on_lu_path(n, q):
-                # the LU degrees keep LAPACK's bits
+                # det U keeps LAPACK's bits
                 assert np.array_equal(got, _minor_loop(u, q))
     # The Laplace degrees are exact on Gaussian integers, where every
     # partial sum of the recursion is an integer far below 2^53.
@@ -242,12 +242,13 @@ def test_exterior_power_matches_minor_loop():
     # On entries of modulus at most 1 they stay within two ulps at 1 of
     # the exact minors rounded once, one ulp on unitary matrices: seeded
     # runs of 40 random complex (scaled to a largest modulus of 1) and 40
-    # random unitary matrices at each n = 3..7 measured at most 4.44e-16
-    # and 2.22e-16 in a real or imaginary part.
+    # random unitary matrices at each n = 3..7 and q = 1..n-1 measured at
+    # most 4.44e-16 and 2.22e-16 in a real or imaginary part, at q = n-1
+    # as below it.
     for n in range(3, 8):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for u, bound in ((a / np.max(np.abs(a)), 4.5e-16), (eig_hermitian(a + a.conj().T).unitary, 2.3e-16)):
-            for q in range(1, n - 1):
+            for q in range(1, n):
                 err = exterior_power_matrix(u, q) - _exact_minors(u, q)
                 assert max(np.max(np.abs(err.real)), np.max(np.abs(err.imag))) <= bound, (n, q)
 
@@ -276,8 +277,7 @@ def test_hostile_degrees_raise_before_any_table_is_built(monkeypatch):
     def built(self):
         raise AssertionError("an index table was read")
 
-    for table in ("positions", "laplace_levels"):
-        monkeypatch.setattr(MultiIndexBasis, table, property(built))
+    monkeypatch.setattr(MultiIndexBasis, "laplace_levels", property(built))
     u = eig_hermitian(np.array([[-1.0, 0.3], [0.3, 1.0]])).unitary
     for q in (math.nan, 1.5):
         with pytest.raises(InvalidArgument):

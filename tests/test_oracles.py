@@ -57,7 +57,7 @@ def test_reference_quadrature_agrees_with_main_rule():
         return np.exp(-(x**2)) * np.cos(3.0 * x)
 
     a = reference_quadrature(f, -5.0, 5.0, tol=1e-11)
-    b = integrate_adaptive(lambda x: np.exp(-(x**2)) * np.cos(3.0 * x), -5.0, 5.0, 1e-12, 1e-12)
+    b = integrate_adaptive(lambda x: np.exp(-(x**2)) * np.cos(3.0 * x), -5.0, 5.0, 1e-12)
     assert abs(a - b) < 1e-10
 
 

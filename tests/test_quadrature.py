@@ -175,8 +175,14 @@ def test_spliced_refinement_matches_resorting():
         return f
 
     got, ref = [], []
-    value = integrate_adaptive(recorder(got), -2.0, 2.0, 1e-11, 1e-11)
+    value = integrate_adaptive(recorder(got), -2.0, 2.0, 1e-11)
     expect = _resorting_rounds(recorder(ref), -2.0, 2.0, 1e-11)
     assert len(got) == len(ref) > 8
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got, ref))
     assert np.float64(value).tobytes() == np.float64(expect).tobytes()
+
+
+def test_breaks_and_width_are_keyword_only():
+    # a second tolerance in fifth place fails instead of becoming the breaks
+    with pytest.raises(TypeError):
+        integrate_adaptive(np.cos, 0.0, 1.0, 1e-9, 1e-9)

@@ -5,6 +5,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -26,6 +28,7 @@ def test_bitwise_counts_drift_and_error_differences():
         _call("f", "a", [1.0, 2.0]),
         _call("f", "b", [4.0, -2.0]),
         _call("f", "c", [0.0, -0.0]),
+        _call("f", "d", [1e-3]),
         _call("g", "a", error="DivergentIntegral"),
         _call("g", "b", [1.0]),
         _call("g", "c", [math.nan, 3.0]),
@@ -36,15 +39,19 @@ def test_bitwise_counts_drift_and_error_differences():
         _call("f", "b", [4.0, -2.0 + 1e-12]),
         # the sign of a zero is a bit: equal values, not the same bits
         _call("f", "c", [0.0, 0.0]),
+        # a small value drifts far on its own scale, little on the function's
+        _call("f", "d", [1e-3 + 1e-15]),
         _call("g", "a", error="DivergentIntegral"),
         _call("g", "b", error="NonFinite"),
         _call("g", "c", [math.nan, 3.0]),
         _call("h", "new", [1.0]),
     ]
     s = same_numbers.compare(first, second)
-    assert (s["f"]["calls"], s["f"]["bitwise"], s["f"]["error_diffs"]) == (3, 1, [])
-    # the largest difference over the call's largest value
-    assert s["f"]["max_drift"] == (-2.0 + 1e-12 - -2.0) / 4.0
+    assert (s["f"]["calls"], s["f"]["bitwise"], s["f"]["error_diffs"]) == (4, 1, [])
+    # the largest difference over the call's largest value, and over the
+    # largest value of any call of the function
+    assert s["f"]["max_drift"] == (1e-3 + 1e-15 - 1e-3) / 1e-3
+    assert s["f"]["fn_drift"] == (-2.0 + 1e-12 - -2.0) / 4.0
     # the same error on both sides is equal; NaN in the same place is too
     assert (s["g"]["calls"], s["g"]["bitwise"], s["g"]["max_drift"]) == (3, 2, 0.0)
     assert s["g"]["error_diffs"] == [{"case": "b", "first": None, "second": "NonFinite"}]
@@ -55,10 +62,11 @@ def test_bitwise_counts_drift_and_error_differences():
 
 
 def test_drift_of_mismatched_shapes_or_nans_is_infinite():
-    assert same_numbers._drift([1.0], [1.0, 2.0]) == math.inf
-    assert same_numbers._drift([math.nan], [1.0]) == math.inf
-    assert same_numbers._drift([0.0], [1e-300]) == math.inf
-    assert same_numbers._drift([2.0, math.nan], [2.0, math.nan]) == 0.0
+    assert same_numbers._difference([1.0], [1.0, 2.0]) == math.inf
+    assert same_numbers._difference([math.nan], [1.0]) == math.inf
+    # a difference where the first file's values are all zero
+    assert same_numbers._relative(same_numbers._difference([0.0], [1e-300]), 0.0) == math.inf
+    assert same_numbers._difference([2.0, math.nan], [2.0, math.nan]) == 0.0
 
 
 def test_compare_command_reads_two_files(tmp_path, capsys):
@@ -69,4 +77,20 @@ def test_compare_command_reads_two_files(tmp_path, capsys):
         paths.append(str(path))
     assert same_numbers.main(["--compare", *paths]) == 0
     row = capsys.readouterr().out.splitlines()[1].split()
-    assert row == ["f", "1", "0", "0.5", "0"]
+    assert row == ["f", "1", "0", "0.5", "0.5", "0"]
+
+
+def test_battery_is_bitwise_equal_at_one_and_two_blas_threads(tmp_path):
+    # each run in its own interpreter, since OpenBLAS reads its thread
+    # count when it loads
+    paths = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, _PATH, "--out", str(path)], env=env, check=True, timeout=300)
+        paths.append(path)
+    first, second = (json.loads(p.read_text())["calls"] for p in paths)
+    summary = same_numbers.compare(first, second)
+    assert sum(e["calls"] for e in summary.values()) == len(first) > 400
+    assert all(e["bitwise"] == e["calls"] and not e["error_diffs"] for e in summary.values()), \
+        same_numbers._report(summary)

@@ -19,10 +19,15 @@ and heisenberg_heat_kernel at n = 4, q = 2.
 
 --compare matches the records of two such files call by call and prints,
 per function, the calls, how many are bitwise equal, the largest relative
-drift, and each call whose error type differs.  Two calls that raise the
-same error type count as equal.  A call's drift is the largest difference
-of a real or imaginary part over the largest part of the first file's
-values in modulus.
+drift on two scales, and each call whose error type differs.  Two calls
+that raise the same error type count as equal.  A call's difference is
+the largest difference of a real or imaginary part; its drift is that
+difference over the largest part of the first file's values of the call
+in modulus (max_drift), and over the largest of every call of the
+function in the first file (fn_drift).  A heavily cancelled call, whose
+values are far below the function's usual size, can read a large
+max_drift for a difference at rounding level: fn_drift tells the two
+apart.
 """
 
 from __future__ import annotations
@@ -126,8 +131,8 @@ def battery(crheat, np) -> list:
                 record("morse_global", f"{tag} delta={delta!r}", lambda: crheat.morse_global(d, q, delta))
             record("heat_trace", f"{tag} delta=2", lambda: crheat.heat_trace(d, q, 0.5, 2.0))
             record("heat_trace", f"{tag} full", lambda: crheat.heat_trace(d, q, 0.5))
-    # larger n at q = 2, 3: the exterior power's Laplace path, and its LU
-    # path at n = 4, q = 3
+    # larger n at q = 2, 3: the exterior power's Laplace path, at q = n - 1
+    # as well for n = 4
     for n in (4, 5, 6):
         p = crheat.curvature_point(herm(n), herm(n))
         t = float(rng.uniform(0.4, 1.5))
@@ -143,11 +148,11 @@ def battery(crheat, np) -> list:
     return records
 
 
-def _drift(a: list, b: list) -> float:
-    """Largest |a_i - b_i| over max |a_i|; inf when the lengths or the NaN places differ."""
+def _difference(a: list, b: list) -> float:
+    """Largest |a_i - b_i|; inf when the lengths or the NaN places differ."""
     if len(a) != len(b):
         return math.inf
-    worst = scale = 0.0
+    worst = 0.0
     for u, v in zip(a, b):
         if math.isnan(u) or math.isnan(v):
             if not (math.isnan(u) and math.isnan(v)):
@@ -155,24 +160,38 @@ def _drift(a: list, b: list) -> float:
             continue
         if u != v:
             worst = max(worst, abs(u - v))
-        scale = max(scale, abs(u))
+    return worst
+
+
+def _scale(a: list) -> float:
+    """max |a_i| over the entries that are not NaN (0 if none)."""
+    return max((abs(u) for u in a if not math.isnan(u)), default=0.0)
+
+
+def _relative(worst: float, scale: float) -> float:
+    """worst / scale; 0 for no difference, inf for a difference at scale 0."""
     if worst == 0.0:
         return 0.0
     return worst / scale if scale > 0 else math.inf
 
 
 def compare(first: list, second: list) -> dict:
-    """Per function: calls, bitwise-equal calls, largest drift and error-type differences.
+    """Per function: calls, bitwise-equal calls, largest drifts and error-type differences.
 
     Records are matched by (fn, case); a call present in one file only
     counts as an error difference ("missing" on the side that lacks it).
     """
     other = {(r["fn"], r["case"]): r for r in second}
     mine = {(r["fn"], r["case"]) for r in first}
+    fn_scale = {}
+    for r in first:
+        if "values" in r:
+            fn_scale[r["fn"]] = max(fn_scale.get(r["fn"], 0.0), _scale(r["values"]))
     out = {}
 
     def entry(fn):
-        return out.setdefault(fn, {"calls": 0, "bitwise": 0, "max_drift": 0.0, "error_diffs": []})
+        return out.setdefault(fn, {"calls": 0, "bitwise": 0, "max_drift": 0.0, "fn_drift": 0.0,
+                                   "error_diffs": []})
 
     for r in first:
         e = entry(r["fn"])
@@ -185,7 +204,9 @@ def compare(first: list, second: list) -> dict:
         if ea is not None or r["sha256"] == s["sha256"]:
             e["bitwise"] += 1
         else:
-            e["max_drift"] = max(e["max_drift"], _drift(r["values"], s["values"]))
+            worst = _difference(r["values"], s["values"])
+            e["max_drift"] = max(e["max_drift"], _relative(worst, _scale(r["values"])))
+            e["fn_drift"] = max(e["fn_drift"], _relative(worst, fn_scale[r["fn"]]))
     for s in second:
         if (s["fn"], s["case"]) not in mine:
             entry(s["fn"])["error_diffs"].append({"case": s["case"], "first": "missing", "second": s.get("error")})
@@ -193,10 +214,11 @@ def compare(first: list, second: list) -> dict:
 
 
 def _report(summary: dict) -> str:
-    lines = [f"{'function':<26}{'calls':>7}{'bitwise':>9}{'max_drift':>12}{'error_diffs':>13}"]
+    lines = [f"{'function':<26}{'calls':>7}{'bitwise':>9}{'max_drift':>12}{'fn_drift':>12}{'error_diffs':>13}"]
     for fn in sorted(summary):
         e = summary[fn]
-        lines.append(f"{fn:<26}{e['calls']:>7}{e['bitwise']:>9}{e['max_drift']:>12.3g}{len(e['error_diffs']):>13}")
+        lines.append(f"{fn:<26}{e['calls']:>7}{e['bitwise']:>9}{e['max_drift']:>12.3g}{e['fn_drift']:>12.3g}"
+                     f"{len(e['error_diffs']):>13}")
     for fn in sorted(summary):
         for d in summary[fn]["error_diffs"]:
             lines.append(f"  {fn} [{d['case']}]: {d['first']} -> {d['second']}")
