@@ -464,11 +464,18 @@ def _density_trace(p: CurvaturePoint, q: int, t: float, delta: float | None = No
 def _signature_at(R: np.ndarray, L: np.ndarray, eta: float):
     """(negatives, positives, zeros) among the eigenvalues of M(eta) = R - 2*eta*L.
 
-    Eigenvalues with |mu| <= 1e-10 * ||M||_F count as zeros.
+    Eigenvalues with |mu| <= 1e-10 * ||M||_F count as zeros, with ||M||_F
+    taken as the 2-norm of the eigenvalues (math.hypot, which scales).
+    An M, or a norm, too large to represent raises NonFinite.
     """
-    M = R - 2.0 * eta * L
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = R - 2.0 * eta * L
+    if not np.isfinite(M).all():
+        raise NonFinite(f"pencil overflows at the probe eta={eta!r}")
     mu = eig_hermitian(M).eigenvalues
-    dead = 1e-10 * frobenius_norm(M)
+    dead = 1e-10 * math.hypot(*mu.tolist())
+    if not math.isfinite(dead):
+        raise NonFinite(f"pencil eigenvalues overflow at the probe eta={eta!r}")
     neg = int(np.sum(mu < -dead))
     pos = int(np.sum(mu > dead))
     return neg, pos, len(mu) - neg - pos

@@ -319,28 +319,33 @@ def pencil_real_roots(p) -> list[float]:
 
     Companion-matrix candidates (numpy polyroots) are polished by bisection,
     with a damped Newton fallback for even-multiplicity roots where no sign
-    change brackets the candidate.  A NaN or infinite coefficient raises
-    NonFinite, and so does a polynomial whose roots are too large for
-    its companion matrix or for its value at a real candidate to be
-    represented.
+    change brackets the candidate.  When the companion matrix of p
+    overflows (c_k / c_deg past the float range), the roots are found as
+    2^e times those of p(2^e x), scaled so its companion is
+    representable (see _root_scaling); every other polynomial is taken
+    as given.  A NaN or infinite coefficient raises NonFinite, and so
+    does a polynomial whose roots are too large, or too far apart, to be
+    represented, or whose value at a real candidate overflows.
     """
     coeffs = np.asarray(p, dtype=float)
     if not np.isfinite(coeffs).all():
         raise NonFinite("polynomial coefficients must be finite")
     if coeffs.size == 0 or not np.any(coeffs != 0.0):
         raise ZeroPolynomial("polynomial is identically zero")
-    cmax = float(np.max(np.abs(coeffs)))
     deg = int(np.max(np.nonzero(coeffs)[0]))
     if deg == 0:
         return []
     work = coeffs[: deg + 1]
+    e = 0
+    with np.errstate(over="ignore"):
+        if not np.isfinite(work[:-1] / work[-1]).all():
+            e, work = _root_scaling(work)
+    cmax = float(np.max(np.abs(work)))
     target = 1e-12 * cmax
     roots = []
-    # overflow, in the companion matrix or in a value far out, leaves
-    # non-finite numbers, which raise below
+    # overflow in a value far out leaves a non-finite residual, which
+    # raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(work[:-1] / work[-1]).all():
-            raise NonFinite("polynomial roots too large to represent")
         for z in np.polynomial.polynomial.polyroots(work):
             # even-multiplicity roots surface as conjugate pairs split by up to
             # ~1e-8; filter loosely on imag, then strictly on the residual
@@ -352,7 +357,10 @@ def pencil_real_roots(p) -> list[float]:
                 raise NonFinite(f"polynomial value at the root {r!r} is too large to represent")
             if residual > 1e-9 * cmax * np.float64(max(1.0, abs(r))) ** deg:
                 continue
-            roots.append(r)
+            try:
+                roots.append(math.ldexp(r, e))
+            except OverflowError:
+                raise NonFinite(f"polynomial root {r!r} * 2**{e} is too large to represent") from None
     roots.sort()
     merged: list[float] = []
     for r in roots:
@@ -360,6 +368,27 @@ def pencil_real_roots(p) -> list[float]:
             continue
         merged.append(r)
     return merged
+
+
+def _root_scaling(c: np.ndarray):
+    """(e, d): the exponent e and the coefficients d of p(2^e x) / (c_deg 2^(e deg)).
+
+    With x_k the frexp exponent of c_k, |c_k / c_deg| < 2^(x_k - x_deg + 1),
+    and e is the least integer with 2^(e (deg - k)) at least that bound
+    for every nonzero c_k, k < deg.  So no quotient is formed that could
+    overflow, |d_k| < 1 below the leading d_deg = 1, the roots of d lie
+    within |x| < 2 (Cauchy), and 2^e x are those of p.  A nonzero
+    c_k whose d_k falls below the smallest normal float leaves roots too
+    far apart for one scale, which raises NonFinite.
+    """
+    deg = len(c) - 1
+    parts = [math.frexp(v) for v in c.tolist()]
+    m_lead, x_lead = parts[-1]
+    e = max(-((x_lead - x - 1) // (deg - k)) for k, (m, x) in enumerate(parts[:-1]) if m != 0.0)
+    d = [math.ldexp(m / m_lead, x - x_lead - e * (deg - k)) for k, (m, x) in enumerate(parts)]
+    if any(m != 0.0 and abs(v) < np.finfo(float).tiny for v, (m, _) in zip(d, parts)):
+        raise NonFinite("polynomial roots too far apart to represent at one scale")
+    return e, np.array(d)
 
 
 def _polish_root(coeffs: np.ndarray, r0: float, target: float) -> float:

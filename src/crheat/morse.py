@@ -41,6 +41,8 @@ class _DivergentType:
 
 Divergent = _DivergentType()
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -103,13 +105,21 @@ class MorseReport:
 def rx_partition(R, L) -> EtaPartition:
     """Split the eta-line at the pencil roots and record each cell's signature.
 
-    Raises IdenticallyDegeneratePencil when det(R - 2*eta*L) vanishes for
-    every eta.
+    An unbounded cell is probed span + |root| past its end root, with
+    span = 1 + ||R||_F / max(1, ||L||_F), so a root far larger than span
+    cannot absorb it and leave the probe on the root; the probe is held
+    to the float range.  The norms are taken of R / s and L / s, with s
+    the largest real or imaginary part of R and L in modulus, so entries
+    near the float limit do not overflow them.  Raises
+    IdenticallyDegeneratePencil when det(R - 2*eta*L) vanishes for every
+    eta.
     """
     Rm = np.asarray(R, dtype=complex)
     Lm = np.asarray(L, dtype=complex)
     roots = curvature_point(Rm, Lm).pencil_roots
-    span = 1.0 + frobenius_norm(Rm) / max(1.0, frobenius_norm(Lm))
+    s = float(np.max(np.abs(np.stack((Rm, Lm)).view(np.float64))))
+    r_norm, l_norm = frobenius_norm(Rm / s), frobenius_norm(Lm / s)
+    span = 1.0 + (r_norm / l_norm if s * l_norm >= 1.0 else r_norm * s)
     cells = []
     if not roots:
         neg, pos, zero = _signature_at(Rm, Lm, 0.0)
@@ -118,9 +128,9 @@ def rx_partition(R, L) -> EtaPartition:
     edges = [-math.inf] + list(roots) + [math.inf]
     for lo, hi in zip(edges[:-1], edges[1:]):
         if math.isinf(lo):
-            probe = hi - span
+            probe = max(hi - span - abs(hi), -_FLOAT_MAX)
         elif math.isinf(hi):
-            probe = lo + span
+            probe = min(lo + span + abs(lo), _FLOAT_MAX)
         else:
             probe = 0.5 * (lo + hi)
         neg, pos, zero = _signature_at(Rm, Lm, probe)

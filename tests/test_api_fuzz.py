@@ -178,9 +178,10 @@ HOLES = [
     ("exp_endo", (C, 1, math.nan), NonFinite),
     ("exp_endo", (C, 1, math.inf), NonFinite),
     ("exp_endo", (C, 1, -1e3), NonFinite),
-    # a companion matrix that overflows, and a near-real pair of roots at
-    # 1e150 where the polynomial's value overflows
-    ("pencil_real_roots", ([1.0, 0.0, 1e-309],), NonFinite),
+    # a companion matrix that overflows with its root past the float range,
+    # and a near-real pair of roots at 1e150 where the polynomial's value
+    # overflows
+    ("pencil_real_roots", ([1.0, 5e-324],), NonFinite),
     ("pencil_real_roots", ([-1.00000000000001e300, 1.00000000000001e300, -2e150, 1.0],), NonFinite),
     ("morse_local", (C, L, 1.5), InvalidArgument),
     ("tail_decay", (L, 0.5), InvalidArgument),

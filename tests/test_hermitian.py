@@ -224,6 +224,27 @@ def test_real_roots_none():
     assert pencil_real_roots([1.0, 0.0, 1.0]) == []  # conjugate pair stays out
 
 
+def test_real_roots_past_the_companion_range():
+    # det(R - 2^-342 eta I) with R = diag(1, 2, 3) has c_0 / c_3 = -6 * 2^1026,
+    # which the unscaled companion matrix cannot hold, and the roots
+    # 2^341 (1, 2, 3); the same pencil at 2^-2 has the roots 2 (1, 2, 3),
+    # and only a power of two separates the two coefficient lists.  The
+    # companion matrices differ by more than a power of two, and the roots
+    # are polished only to a residual of 1e-12 of the largest coefficient:
+    # the two read 2.5e-13 apart, relative
+    R = np.diag([1.0, 2.0, 3.0])
+    unit = pencil_real_roots(pencil_det_poly(R, 2.0**-2 * np.eye(3)))
+    far = pencil_real_roots(pencil_det_poly(R, 2.0**-342 * np.eye(3)))
+    assert unit == pytest.approx([2.0, 4.0, 6.0], rel=1e-14)
+    assert far == pytest.approx([math.ldexp(r, 340) for r in unit], rel=1e-11)
+    # roots no double can hold, or too far apart for one scale, stay typed errors
+    for coeffs in ([1.0, 5e-324], [1.0, 1e300, 1e-300]):
+        with pytest.raises(NonFinite):
+            pencil_real_roots(coeffs)
+    assert pencil_real_roots([1.0, 0.0, 1e-309]) == []
+    assert pencil_real_roots([-1.0, 0.0, 1e-309]) == pytest.approx([-1e154 * 10**0.5, 1e154 * 10**0.5])
+
+
 def test_real_roots_zero_poly_raises():
     with pytest.raises(ZeroPolynomial):
         pencil_real_roots([0.0, 0.0])

@@ -285,6 +285,44 @@ def test_invalid_delta_is_refused():
     assert morse_local(R2, I2, 1, delta=0.0) == 0.0
 
 
+def test_local_with_a_levi_form_far_below_the_curvature():
+    # det(I - 2 eta eps I) = (1 - 2 eps eta)^3 at eps = 10^-103.1: its
+    # companion matrix overflows, its triple root 1/(2 eps) does not
+    L = 10**-103.1 * np.eye(3)
+    root = 0.5 * 10**103.1
+    part = rx_partition(np.eye(3), L)
+    assert part.breakpoints == pytest.approx([root] * len(part.breakpoints), rel=1e-4)
+    assert (part.cells[0].negatives, part.cells[-1].negatives) == (0, 3)
+    assert morse_local(np.eye(3), L, 0) is Divergent
+    # on [-1, 1], |det| = (1 - 2 eps eta)^3 integrates to 2 up to ~1e-103
+    assert morse_local(np.eye(3), L, 0, delta=1.0) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_partition_probes_outer_cells_clear_of_large_roots():
+    # roots 2^59 (1, 2, 3) are far larger than the probe span 1 + sqrt(14):
+    # a probe at root + span is the root itself, where one eigenvalue is 0
+    R, L = np.diag([1.0, 2.0, 3.0]), 2.0**-60 * np.eye(3)
+    part = rx_partition(R, L)
+    assert [(c.negatives, c.zeros) for c in part.cells] == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert morse_local(R, L, 3) is Divergent
+    # the cell (2^60, 3 * 2^59) of |(1 - x)(2 - x)(3 - x)|, x = 2^-59 eta
+    assert morse_local(R, L, 2) == pytest.approx(0.25 * 2.0**59, rel=1e-12)
+
+
+def test_partition_and_local_with_entries_near_1e300():
+    # det(C - 2 eta L) = (a - 2 eta)(1 - eta) - b^2 with a = 1e300, b = 0.3:
+    # roots 1 - b^2/a (to 1e-301) and a/2 + ..., both representable
+    a, b = 1e300, 0.3
+    C, L = np.array([[a, b], [b, 1.0]]), np.diag([1.0, 0.5])
+    part = rx_partition(C, L)
+    assert part.breakpoints == pytest.approx([1.0, a / 2], rel=1e-12)
+    assert [c.negatives for c in part.cells] == [0, 1, 2]
+    # j = 1 on [1, 2]: with u = eta - 1, |det| = u (a - 2 - 2u) + b^2 up to
+    # the 1e-301 root shift, whose integral over [0, 1] is (a - 2)/2 - 2/3 + b^2;
+    # measured 1.4e-13 relative, the det polynomial's c_0 being off by 2.4e-14
+    assert morse_local(C, L, 1, 2.0) == pytest.approx((a - 2) / 2 - 2 / 3 + b * b, rel=1e-12)
+
+
 def test_overflowing_cell_integral_is_non_finite():
     # |det| grows like eta^2, so its integral over [-1e300, 1e300] is ~1e900:
     # a typed error, not an inf weak bound and a RuntimeWarning

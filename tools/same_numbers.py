@@ -15,7 +15,8 @@ hit, a value past the node's bound on a hit and on a miss),
 heisenberg_heat_kernel, heisenberg_kernel_batch forward and
 adjoint, morse_global and heat_trace, at n = 1..3 and every degree q;
 then density_diagonal (truncated and full line) at n = 4..6, q = 2, 3,
-and heisenberg_heat_kernel at n = 4, q = 2.
+and heisenberg_heat_kernel at n = 4, q = 2; last exp_endo at n = 1..6,
+every q and t = 0.1, 1, 13, and on one matrix of entries 1e307.
 
 --compare matches the records of two such files call by call and prints,
 per function, the calls, how many are bitwise equal, the largest relative
@@ -145,6 +146,15 @@ def battery(crheat, np) -> list:
             y = crheat.HeisenbergPoint(tuple(cz(n)), -0.3)
             record("heisenberg_heat_kernel", "n=4 q=2 delta=2.0",
                    lambda: crheat.heisenberg_heat_kernel(p, 2, t, x, y, 2.0).matrix)
+    # exp_endo last, so every earlier case draws the inputs it always drew;
+    # the 1e307 matrix is one whose two paths cannot be compared
+    for n in range(1, 7):
+        m = herm(n)
+        for q in range(n + 1):
+            for t in (0.1, 1.0, 13.0):
+                record("exp_endo", f"n={n} q={q} t={t!r}", lambda: crheat.exp_endo(m, q, t).matrix)
+    record("exp_endo", "n=2 q=1 t=1.0 entries 1e307",
+           lambda: crheat.exp_endo([[1e307, 1e307], [1e307, 1e307]], 1, 1.0).matrix)
     return records
 
 
