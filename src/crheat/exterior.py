@@ -127,6 +127,7 @@ def omega_endomorphism(M, q: int) -> FormEndomorphism:
     (j, l) is the matrix entry M[j-1, l-1].  With these choices a diagonal
     M = diag(mu) acts on the component J as multiplication by
     sum(mu_j for j in J), which is the anchor every kernel formula needs.
+    An entry whose sum overflows raises NonFinite.
     """
     Mm = as_hermitian(M)
     n = Mm.shape[0]
@@ -134,20 +135,23 @@ def omega_endomorphism(M, q: int) -> FormEndomorphism:
     dim = len(b.indices)
     rank = {J: r for r, J in enumerate(b.indices)}
     out = np.zeros((dim, dim), dtype=complex)
-    for col, J in enumerate(b.indices):
-        for pos_l, l in enumerate(J):
-            sign_l = -1.0 if pos_l % 2 else 1.0
-            rest = J[:pos_l] + J[pos_l + 1 :]
-            for j in range(1, n + 1):
-                if j in rest:
-                    continue
-                c = Mm[j - 1, l - 1]
-                if c == 0:
-                    continue
-                pos_j = sum(1 for m in rest if m < j)
-                sign_j = -1.0 if pos_j % 2 else 1.0
-                J_out = rest[:pos_j] + (j,) + rest[pos_j:]
-                out[rank[J_out], col] += sign_l * sign_j * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col, J in enumerate(b.indices):
+            for pos_l, l in enumerate(J):
+                sign_l = -1.0 if pos_l % 2 else 1.0
+                rest = J[:pos_l] + J[pos_l + 1 :]
+                for j in range(1, n + 1):
+                    if j in rest:
+                        continue
+                    c = Mm[j - 1, l - 1]
+                    if c == 0:
+                        continue
+                    pos_j = sum(1 for m in rest if m < j)
+                    sign_j = -1.0 if pos_j % 2 else 1.0
+                    J_out = rest[:pos_j] + (j,) + rest[pos_j:]
+                    out[rank[J_out], col] += sign_l * sign_j * c
+    if not np.isfinite(out).all():
+        raise NonFinite(f"the degree-{q} endomorphism overflows: its entries sum past the float range")
     return FormEndomorphism(b, out)
 
 
@@ -235,13 +239,16 @@ def _expm(A: np.ndarray) -> np.ndarray:
     (2003); Higham, SIMAX 26 (2005)).  T is summed by Paterson and
     Stockmeyer: with Q_j(B) = sum_{i<4} c_{4j+i} B^i,
         T = Q_0 + B^4 (Q_1 + B^4 (Q_2 + B^4 (Q_3 + B^4 Q_4))),
-    seven products in all.  A non-finite A, or squarings that overflow,
-    leave NaN or infinite entries, which the caller checks.
+    seven products in all.  A finite diagonal A (the zero matrix
+    included) takes the exact elementwise exponential instead: squaring
+    cannot resolve a diagonal spread past about 2^52, whose small entries
+    fall below half an ulp of 1 in 2^-s A.  A non-finite A, or squarings
+    that overflow, leave NaN or infinite entries, which the caller checks.
     """
     dim = A.shape[0]
+    if not np.any(A[~np.eye(dim, dtype=bool)]) and np.isfinite(A).all():
+        return np.diag(np.exp(np.diagonal(A)))
     b = float(np.max(np.abs(A.view(np.float64))))
-    if b == 0.0:
-        return np.eye(dim, dtype=complex)
     mb, eb = math.frexp(b)
     mn, en = math.frexp(float(np.max(np.abs(A / b).sum(axis=0))))
     s = max(0, eb + en + math.frexp(mb * mn)[1] + 1)

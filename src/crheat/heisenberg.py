@@ -444,8 +444,16 @@ def _group_kernel(p: CurvaturePoint, q: int, t: float, x: HeisenbergPoint, zs, t
         prefactor = exp{(beta/2)*gap + i*(beta/2)*(w^H L w - z^H L z) + (z^H C z - w^H C w)/2}
 
     where the adjoint swaps z and w.  One eta panel set, refined to tol for
-    the worst point and capped at width pi/(4*max|gap|+1), serves the batch.
-    The full-line tail reuses the density certificate (|Gaussian| <= 1).
+    the worst point, serves the batch.  Each panel spans at most half a
+    period of exp(i*gap*eta), width pi/max|gap| (no cap when every gap is
+    0): at a phase |theta| <= pi/2 on the half panel, Kronrod-15 (exact to
+    degree 22) integrates exp(i*theta*x) to about (pi/2)^23/23! ~ 1e-18 and
+    the embedded Gauss-7 (degree 13) to about (pi/2)^14/14! ~ 6e-9, so the
+    first round resolves the theta phase and its error estimate means
+    something.  The linear Levi phase 2*eta*Im(z^H L w) inside
+    Im(z^H V w), damped by the Gaussian envelope, is left to the adaptive
+    estimate, as at gap 0.  The full-line tail reuses the density certificate
+    (|Gaussian| <= 1) and the same width.
     """
     zs = np.asarray(zs, dtype=complex)
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
@@ -463,8 +471,11 @@ def _group_kernel(p: CurvaturePoint, q: int, t: float, x: HeisenbergPoint, zs, t
             _two_sided_decay(p, q)
         return np.zeros((0, dim, dim), dtype=complex)
     z = np.asarray(x.z, dtype=complex)
-    gaps = (thetas - x.theta) if adjoint else (x.theta - thetas)
-    width = math.pi / (4.0 * float(np.max(np.abs(gaps))) + 1.0) if np.any(gaps) else None
+    with np.errstate(over="ignore"):
+        gaps = (thetas - x.theta) if adjoint else (x.theta - thetas)
+    if not np.isfinite(gaps).all():
+        raise NonFinite("theta gaps overflow: the points are too far apart")
+    width = math.pi / float(np.max(np.abs(gaps))) if np.any(gaps) else None
     with np.errstate(over="ignore", invalid="ignore"):
         lz, lw = _quadratic_forms(p.levi.mat, z, zs)
         cz, cw = _quadratic_forms(p.curvature.mat, z, zs)
@@ -494,7 +505,8 @@ def heisenberg_heat_kernel(
     """Heat kernel K(t; x, y) on C^n x R, full (delta None) or frequency-truncated.
 
     The one-point case of heisenberg_kernel_batch (see _group_kernel for
-    the formula), with its eta-integral driven to 1e-10.
+    the formula and the eta panels, at most pi/|theta_x - theta_y| wide),
+    with its eta-integral driven to 1e-10.
     """
     out = _group_kernel(p, q, t, x, [y.z], [y.theta], delta, False, 1e-10)
     return KernelValue(FormEndomorphism(basis(p.n, q), out[0]))
@@ -515,6 +527,8 @@ def heisenberg_kernel_batch(
     With adjoint=True returns K(t; u_i, x) instead; delta as in
     heisenberg_heat_kernel.  One eta panel set, driven to 1e-8 by the
     worst point, serves the whole batch, which is what makes grid
-    convolution tests affordable.  Returns shape (len(zs), dim, dim).
+    convolution tests affordable; its panels are at most half a period
+    of the widest theta gap's phase wide (see _group_kernel).  Returns
+    shape (len(zs), dim, dim).
     """
     return _group_kernel(p, q, t, x, zs, thetas, delta, adjoint, 1e-8)

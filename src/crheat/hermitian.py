@@ -319,7 +319,10 @@ def pencil_real_roots(p) -> list[float]:
 
     Companion-matrix candidates (numpy polyroots) are polished by bisection,
     with a damped Newton fallback for even-multiplicity roots where no sign
-    change brackets the candidate.  When the companion matrix of p
+    change brackets the candidate.  Two adjacent roots r < r' merge into r
+    when r' - r <= 1e-7 (1 + |r'|), or when p at their midpoint is within
+    its rounding bound of 0 (see _sign_unknown), so that no interval of
+    unknown sign separates two roots.  When the companion matrix of p
     overflows (c_k / c_deg past the float range), the roots are found as
     2^e times those of p(2^e x), scaled so its companion is
     representable (see _root_scaling); every other polynomial is taken
@@ -358,16 +361,35 @@ def pencil_real_roots(p) -> list[float]:
             if residual > 1e-9 * cmax * np.float64(max(1.0, abs(r))) ** deg:
                 continue
             try:
-                roots.append(math.ldexp(r, e))
+                roots.append((math.ldexp(r, e), r))
             except OverflowError:
                 raise NonFinite(f"polynomial root {r!r} * 2**{e} is too large to represent") from None
     roots.sort()
     merged: list[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) <= 1e-7 * (1.0 + abs(r)):
+    kept = 0.0  # the last merged root, on the scale of work
+    for r, rs in roots:
+        if merged and (abs(r - merged[-1]) <= 1e-7 * (1.0 + abs(r))
+                       or _sign_unknown(work, 0.5 * (kept + rs))):
             continue
         merged.append(r)
+        kept = rs
     return merged
+
+
+def _sign_unknown(coeffs: np.ndarray, x: float) -> bool:
+    """Whether Horner's p(x) is within its rounding bound of 0, so its sign is not known.
+
+    The bound is gamma_2d * sum |c_k| |x|^k (Higham, Accuracy and Stability
+    of Numerical Algorithms, 5.1), with gamma_m = m u / (1 - m u).  Two
+    candidate roots with such a p at their midpoint have no interval of
+    known sign between them: a multiple root split by rounding (a triple
+    root's candidates lie about eps^(1/3) apart).  A bound that overflows
+    tells nothing, and the sign counts as known.
+    """
+    m = (len(coeffs) - 1) * math.ulp(1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = m / (1.0 - m) * _polyval(np.abs(coeffs), abs(x))
+        return math.isfinite(bound) and abs(_polyval(coeffs, x)) <= bound
 
 
 def _root_scaling(c: np.ndarray):

@@ -201,6 +201,27 @@ def test_exp_endo_refuses_a_taylor_path_it_cannot_compare():
             exp_endo([[x, x], [x, x]], 1, 1.0)
 
 
+def test_exp_endo_takes_a_wide_diagonal_spread():
+    # 2^-s A of these puts the -1 below half an ulp of 1, which squaring
+    # cannot recover; a diagonal A takes the exact elementwise exponential
+    for big in (4e15, 1e308):
+        out = exp_endo(np.diag([big, -1.0]), 1, 1.0)
+        assert np.array_equal(out.matrix, np.diag([0.0, math.e]).astype(complex))
+        assert np.array_equal(_expm(np.diag([-big, 1.0]).astype(complex)), np.diag([0.0, math.e]))
+
+
+def test_omega_overflow_is_a_typed_error():
+    # the one entry at q = 2 is 1e308 + 1e308; under the tests' warning
+    # filter an overflow warning in the sum would be an error of its own
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite, match="endomorphism"):
+            omega_endomorphism(1e308 * np.eye(2), 2)
+        with pytest.raises(NonFinite, match="endomorphism"):
+            exp_endo(1e308 * np.eye(2), 2, 1.0)
+        assert omega_endomorphism(1e308 * np.eye(2), 1).matrix[1, 1] == 1e308
+
+
 def test_importing_the_library_and_its_cli_loads_no_scipy():
     src = str(pathlib.Path(crheat.__file__).resolve().parents[1])
     code = ("import sys, crheat, crheat.cli; "

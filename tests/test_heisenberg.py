@@ -13,7 +13,7 @@ import pytest
 
 from crheat import density, heisenberg
 from crheat.density import curvature_point, density_diagonal, density_integrand
-from crheat.errors import DivergentIntegral, InvalidArgument, NonFinite, NonHermitian
+from crheat.errors import DivergentIntegral, InvalidArgument, MaxSubdivisions, NonFinite, NonHermitian
 from crheat.heisenberg import (
     HeisenbergPoint,
     boxeta_kernel,
@@ -423,6 +423,27 @@ def test_group_kernel_input_validation():
         density_integrand(fresh, 0, 1.0, -1e300)
 
 
+def test_extreme_theta_gaps_end_in_a_value_or_a_typed_error():
+    # the eta panel cap pi/max|gap|: at a subnormal gap it is infinite (no
+    # cap), at 1e300 too narrow for the node budget, and a gap past the
+    # float range is refused before it
+    p = curvature_point(np.diag([0.5, -0.3]), np.diag([1.0, 0.8]))
+    x = HeisenbergPoint((0.2 + 0.1j, -0.1j), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta in (2.0, None):
+            tiny = heisenberg_heat_kernel(p, 1, 0.9, x, HeisenbergPoint((0.1, 0.2j), -5e-324), delta)
+            same = heisenberg_heat_kernel(p, 1, 0.9, x, HeisenbergPoint((0.1, 0.2j), 0.0), delta)
+            assert np.max(np.abs(tiny.matrix - same.matrix)) <= 1e-10 * np.max(np.abs(same.matrix))
+            with pytest.raises(MaxSubdivisions):
+                heisenberg_heat_kernel(p, 1, 0.9, x, HeisenbergPoint((0.1, 0.2j), -1e300), delta)
+            with pytest.raises(MaxSubdivisions):
+                heisenberg_kernel_batch(p, 1, 0.9, x, [[0.1, 0.2j]], [1e300], delta, adjoint=True)
+        with pytest.raises(NonFinite, match="theta gaps"):
+            heisenberg_heat_kernel(p, 1, 0.9, HeisenbergPoint((0.0, 0.0), 1e308),
+                                   HeisenbergPoint((0.0, 0.0), -1e308), 2.0)
+
+
 def test_mehler_input_validation():
     for x, y in (([math.nan, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, -math.inf])):
         with pytest.raises(NonFinite):
@@ -671,8 +692,10 @@ def test_batch_matches_scalar_api():
 
 
 def test_batch_rounds_spanning_node_blocks_match_pointwise(monkeypatch):
-    # with this many points a block holds a few dozen nodes, and the wide
-    # theta spread caps the panel width, so one round spans several blocks
+    # with this many points a block holds a few dozen nodes; the gaps up to
+    # 3.46 cap the panels at pi/3.46, so [-4, 4] starts with 11 panels
+    # (the pencil roots break it too) and the first round's 165 nodes at
+    # 120 points span several blocks
     rounds = []
     fiber_values = heisenberg._fiber_values
 

@@ -219,6 +219,15 @@ def test_real_roots_double():
     assert roots[0] == pytest.approx(0.5, abs=1e-6)
 
 
+def test_real_roots_triple_is_one_root():
+    # (x - 1)^3: the candidates lie about eps^(1/3) ~ 1e-5 apart, past the
+    # 1e-7 merge, and p at their midpoint is rounding noise
+    roots = pencil_real_roots([-1.0, 3.0, -3.0, 1.0])
+    assert len(roots) == 1 and roots[0] == pytest.approx(1.0, abs=1e-4)
+    # two simple roots 1e-6 apart keep a sign-definite interval between them
+    assert len(pencil_real_roots(np.polynomial.polynomial.polyfromroots([1.0, 1.0 + 1e-6]))) == 2
+
+
 def test_real_roots_none():
     assert pencil_real_roots([1.0]) == []
     assert pencil_real_roots([1.0, 0.0, 1.0]) == []  # conjugate pair stays out

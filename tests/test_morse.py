@@ -298,6 +298,14 @@ def test_local_with_a_levi_form_far_below_the_curvature():
     assert morse_local(np.eye(3), L, 0, delta=1.0) == pytest.approx(2.0, rel=1e-14)
 
 
+def test_triple_root_far_out_leaves_no_spurious_cell():
+    # the root 0.5 * 10^103.1 of (1 - 2 eps eta)^3 is one breakpoint: no
+    # thin cell between two of its rounding-split candidates
+    part = rx_partition(np.eye(3), 10**-103.1 * np.eye(3))
+    assert part.breakpoints == pytest.approx([0.5 * 10**103.1], rel=1e-4)
+    assert [c.negatives for c in part.cells] == [0, 3]
+
+
 def test_partition_probes_outer_cells_clear_of_large_roots():
     # roots 2^59 (1, 2, 3) are far larger than the probe span 1 + sqrt(14):
     # a probe at root + span is the root itself, where one eigenvalue is 0

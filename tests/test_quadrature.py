@@ -31,11 +31,24 @@ def test_kink_with_interior_break():
     assert abs(val - 2.5) < 1e-12
 
 
-def test_oscillatory_needs_max_width():
-    k = 40.0
-    exact = (1.0 - np.cos(k * 3.0)) / k
-    val = integrate_adaptive(lambda x: np.sin(k * x), 0.0, 3.0, max_width=0.5)
-    assert abs(val - exact) < 1e-9
+def test_half_period_width_cap_saves_nodes():
+    # sin(kx) on [0, 3]: panels half a period wide (pi/k) resolve the phase
+    # in the first round, so they reach 1e-9 on fewer nodes than no cap,
+    # which bisects down to that width, and than the narrower pi/(4k+1)
+    for k in (10.0, 40.0, 160.0):
+        exact = (1.0 - np.cos(k * 3.0)) / k
+        nodes = {}
+        for name, width in (("half", np.pi / k), ("none", None), ("quarter", np.pi / (4 * k + 1))):
+            calls = []
+
+            def f(x):
+                calls.append(len(x))
+                return np.sin(k * x)
+
+            val = integrate_adaptive(f, 0.0, 3.0, max_width=width)
+            assert abs(val - exact) < 1e-9, (k, name)
+            nodes[name] = sum(calls)
+        assert nodes["half"] < min(nodes["none"], nodes["quarter"]), (k, nodes)
 
 
 def test_matrix_valued_integrand():

@@ -15,8 +15,11 @@ hit, a value past the node's bound on a hit and on a miss),
 heisenberg_heat_kernel, heisenberg_kernel_batch forward and
 adjoint, morse_global and heat_trace, at n = 1..3 and every degree q;
 then density_diagonal (truncated and full line) at n = 4..6, q = 2, 3,
-and heisenberg_heat_kernel at n = 4, q = 2; last exp_endo at n = 1..6,
-every q and t = 0.1, 1, 13, and on one matrix of entries 1e307.
+and heisenberg_heat_kernel at n = 4, q = 2; then exp_endo at n = 1..6,
+every q and t = 0.1, 1, 13, and on one matrix of entries 1e307; last
+heisenberg_heat_kernel and heisenberg_kernel_batch forward and adjoint at
+n = 1..3, every q, theta gaps 0.5, 1, 2, 4, 8 and |z|, |w| up to 2, on
+[-2, 2] and the full line.
 
 --compare matches the records of two such files call by call and prints,
 per function, the calls, how many are bitwise equal, the largest relative
@@ -155,6 +158,31 @@ def battery(crheat, np) -> list:
                 record("exp_endo", f"n={n} q={q} t={t!r}", lambda: crheat.exp_endo(m, q, t).matrix)
     record("exp_endo", "n=2 q=1 t=1.0 entries 1e307",
            lambda: crheat.exp_endo([[1e307, 1e307], [1e307, 1e307]], 1, 1.0).matrix)
+    # group kernels at theta gaps 0.5..8, where the eta panel width cap
+    # pi/max|gap| acts, with |z| and |w| up to 2, on a delta window and the
+    # full line (DivergentIntegral, recorded, where the Levi form's
+    # signature does not suit q); appended last for the same reason
+    def ball(n):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return float(rng.uniform(0.2, 2.0)) * v / np.linalg.norm(v)
+
+    spread = np.array([1.0, -0.6, 0.3, -0.9])
+    for n in (1, 2, 3):
+        p = crheat.curvature_point(herm(n), herm(n))
+        t = float(rng.uniform(0.4, 1.5))
+        x = crheat.HeisenbergPoint(tuple(ball(n)), 0.1)
+        zs = np.array([ball(n) for _ in range(4)])
+        for q in range(n + 1):
+            for gap in (0.5, 1.0, 2.0, 4.0, 8.0):
+                tag = f"n={n} q={q} gap={gap!r}"
+                y = crheat.HeisenbergPoint(tuple(zs[0]), x.theta - gap)
+                thetas = x.theta - gap * spread
+                for delta in (2.0, None):
+                    record("heisenberg_heat_kernel", f"{tag} delta={delta!r}",
+                           lambda: crheat.heisenberg_heat_kernel(p, q, t, x, y, delta).matrix)
+                    for adjoint in (False, True):
+                        record("heisenberg_kernel_batch", f"{tag} delta={delta!r} adjoint={adjoint}",
+                               lambda: crheat.heisenberg_kernel_batch(p, q, t, x, zs, thetas, delta, adjoint))
     return records
 
 
