@@ -170,9 +170,7 @@ def component_scalars(bose_plus: np.ndarray, bose_minus: np.ndarray, q: int) -> 
     stack nodes, and the scalars get the same leading axes.
     """
     inside = basis(bose_plus.shape[-1], q).membership
-    if bose_plus.ndim > 1:
-        bose_plus, bose_minus = bose_plus[..., None, :], bose_minus[..., None, :]
-    return np.where(inside, bose_minus, bose_plus).prod(axis=-1)
+    return np.where(inside, bose_minus[..., None, :], bose_plus[..., None, :]).prod(axis=-1)
 
 
 def _check_delta(delta):
@@ -185,13 +183,14 @@ def _check_delta(delta):
 
 
 def _pencil(p: CurvaturePoint, etas) -> HermitianForm:
-    """M(eta) at the nodes etas, a float or a sequence that stacks them along axis 0.
+    """M(eta) at the nodes etas, whose axes (none for a float) lead the result's.
 
-    M(eta) is exactly Hermitian (the point's forms are symmetrized), so
-    the eigensolvers get it without a second validation.
+    The one place that tells a float node from an array of them.  M(eta) is
+    exactly Hermitian (the point's forms are symmetrized), so the
+    eigensolvers get it without a second validation.
     """
     if not isinstance(etas, float):
-        etas = np.asarray(etas, dtype=float)[:, None, None]
+        etas = np.asarray(etas, dtype=float)[..., None, None]
     return HermitianForm.trusted(p.curvature.mat - (2.0 * etas) * p.levi.mat)
 
 
@@ -214,42 +213,37 @@ def _trace_scalars(bose_plus: np.ndarray, bose_minus: np.ndarray, q: int) -> np.
 
 
 def _eta_nodes(p: CurvaturePoint, q: int, t: float, etas):
-    """Everything the degree-q integrands need at a block of eta nodes.
+    """Everything the degree-q integrands need at the eta nodes etas.
 
-    Returns, stacked node by node along axis 0, the eigensystems of
-    M(eta), the Bose values bose(+mu, t) and bose(-mu, t), and the cores
-    E diag(d) E^H, where E is the q-th exterior power of the eigenvectors
-    and d the component scalars.  A single eta given as a float, instead
-    of a sequence, gives the same arrays without the stack axis.  The
-    whole block goes through one call of each layer and one batched
-    matmul, which give every node the bits it gets alone.
+    Returns the pencils M(eta), their eigensystems, the Bose values
+    bose(+mu, t) and bose(-mu, t), and the cores E diag(d) E^H, where E is
+    the q-th exterior power of the eigenvectors and d the component
+    scalars, each with the axes of etas leading (none for a float node).
+    One call of each layer and one batched matmul give every node the
+    bits it gets alone.
     """
-    stacked = not isinstance(etas, float)
-    es = eig_hermitian(_pencil(p, etas))
+    M = _pencil(p, etas)
+    es = eig_hermitian(M)
     bose_plus, bose_minus = bose_pair(es.eigenvalues, t)
     d = component_scalars(bose_plus, bose_minus, q)
     E = _exterior_power(es.unitary, q)
-    if stacked:
-        d = d[:, None, :]
-    return es, bose_plus, bose_minus, (E * d) @ E.conj().swapaxes(-1, -2)
+    return M.mat, es, bose_plus, bose_minus, (E * d[..., None, :]) @ E.conj().swapaxes(-1, -2)
 
 
-def _eta_node(p: CurvaturePoint, q: int, t: float, eta: float):
-    """_eta_nodes at the single node eta: (eigensystem, bose_plus, bose_minus, core)."""
-    return _eta_nodes(p, q, t, float(eta))
+def _finite_nodes(p: CurvaturePoint, q: int, t: float, etas):
+    """_eta_nodes(p, q, t, etas), with NonFinite naming the first eta whose node overflows.
 
-
-def _finite_node(node_fn, p: CurvaturePoint, q: int, t: float, eta: float):
-    """node_fn(p, q, t, eta), an _eta_node, with NonFinite where it overflows.
-
-    A single node overflows only at a huge |eta|, where the pencil
-    eigenvalues reach ~1e300.
+    A node overflows only at a huge |eta|, where the pencil eigenvalues
+    reach ~1e300.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        node = node_fn(p, q, t, eta)
-    if not all(np.isfinite(a).all() for a in node[1:]):
+        nodes = _eta_nodes(p, q, t, etas)
+    _, _, bp, bm, core = nodes
+    bad = ~(np.isfinite(bp).all(-1) & np.isfinite(bm).all(-1) & np.isfinite(core).all((-2, -1)))
+    if bad.any():
+        eta = float(np.asarray(etas, dtype=float)[bad].flat[0])
         raise NonFinite(f"integrand overflows at eta={eta!r}")
-    return node
+    return nodes
 
 
 def density_integrand(p: CurvaturePoint, q: int, t: float, eta: float) -> FormEndomorphism:
@@ -262,7 +256,7 @@ def density_integrand(p: CurvaturePoint, q: int, t: float, eta: float) -> FormEn
     _check_time(t)
     if not math.isfinite(eta):
         raise NonFinite("eta must be finite")
-    return FormEndomorphism(basis(p.n, q), _finite_node(_eta_node, p, q, t, eta)[3])
+    return FormEndomorphism(basis(p.n, q), _finite_nodes(p, q, t, eta)[-1])
 
 
 def tail_certificate(
@@ -437,7 +431,7 @@ def density_diagonal(p: CurvaturePoint, q: int, t: float, delta: float | None = 
     b = basis(p.n, q)
 
     def f(etas):
-        return np.stack([_eta_node(p, q, t, e)[3] for e in etas])
+        return np.stack([_eta_nodes(p, q, t, e)[-1] for e in etas.tolist()])
 
     total = _eta_integral(p, q, t, delta, f, 1e-9)
     return FormEndomorphism(b, total * (2.0 * math.pi) ** (-(p.n + 1)))

@@ -22,10 +22,8 @@ from .density import (
     CurvaturePoint,
     _check_delta,
     _eta_integral,
-    _eta_node,
     _eta_nodes,
-    _finite_node,
-    _pencil,
+    _finite_nodes,
     _two_sided_decay,
 )
 from .errors import InvalidArgument, NonFinite
@@ -194,20 +192,22 @@ def _coef_layout(n: int):
     return index, factor
 
 
-def _node_frame(U, bp, bm, M, core) -> _GaussianFrame:
-    """The Gaussian frame of a stack of nodes: the arrays (es.unitary, b+, b-, core) of _eta_nodes and the pencils M.
+def _node_frame(nodes) -> _GaussianFrame:
+    """The Gaussian frame of the nodes (M, es, b+, b-, core) that _eta_nodes returns.
 
-    M stacks the nodes' M(eta) (_pencil).  F = U diag((b+ + b-)/2) U^H takes
-    one matrix product per node; V = U diag(b- - b+) U^H is -M(eta), since
-    b+ - b- = mu, so its coefficients are read off the negated pencil.
+    Leading axes stack nodes, as in _eta_nodes.  F = U diag((b+ + b-)/2) U^H
+    takes one matrix product per node; V = U diag(b- - b+) U^H is -M(eta),
+    since b+ - b- = mu, so its coefficients are read off the negated pencil.
     """
-    K, n = len(U), U.shape[-1]
+    M, es, bp, bm, core = nodes
+    U = es.unitary
+    lead, n = U.shape[:-2], U.shape[-1]
     # F over V, (2n, n) per node
-    forms = np.empty((K, 2 * n, n), dtype=complex)
-    np.matmul(U * ((bp + bm) / 2.0)[:, None, :], U.conj().swapaxes(-1, -2), out=forms[:, :n])
-    np.negative(M, out=forms[:, n:])
+    forms = np.empty(lead + (2 * n, n), dtype=complex)
+    np.matmul(U * ((bp + bm) / 2.0)[..., None, :], U.conj().swapaxes(-1, -2), out=forms[..., :n, :])
+    np.negative(M, out=forms[..., n:, :])
     index, factor = _coef_layout(n)
-    coef = forms.reshape(K, -1).view(float)[:, index] * factor
+    coef = forms.reshape(lead + (-1,)).view(float)[..., index] * factor
     return _GaussianFrame(coef, core * (2.0 * math.pi) ** (-n))
 
 
@@ -324,8 +324,7 @@ def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoin
     step = max(1, _BLOCK_PAIRS // max(1, len(ws)))
     for lo in range(0, len(etas), stack):
         nodes = etas[lo : lo + stack]
-        es, bp, bm, core = _eta_nodes(p, q, t, nodes)
-        frame = _node_frame(es.unitary, bp, bm, _pencil(p, nodes).mat, core)
+        frame = _node_frame(_eta_nodes(p, q, t, nodes))
         for k in range(0, len(nodes), step):
             block = nodes[k : k + step]
             phase = None if gaps is None else gaps[None, :] * block[:, None]
@@ -341,31 +340,28 @@ _EXPONENT_CAP = 1e300
 
 
 def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float) -> tuple:
-    """The memo entry (key, frame, bound) of _eta_node(p, q, t, eta) on p: its one boxeta_kernel entry.
+    """The memo entry (key, frame, bound) of the node eta on p: its one boxeta_kernel entry.
 
     Callers sweep boxeta_kernel over z at a fixed (q, t, eta), so the
-    frame (see _node_frame) of the last node is kept on the point, next
-    to its cached pencil_roots, and reused while the key
-    compares equal: its coefficients as a tuple of floats, its core as a
-    read-only array.  The entry also keeps the node's coordinate bound
-    sqrt(_EXPONENT_CAP / max(1, max|coef|)), which boxeta_kernel checks
-    each coordinate of z and w against.  On a miss the new entry is
-    returned unstored: boxeta_kernel stores it once its pass over the
-    coordinates has succeeded.  The key, frame and bound are stored and
-    read as one tuple, so concurrent callers can at worst recompute a
-    node.
+    frame (see _node_frame) of the last node is kept on the point and
+    reused while the key compares equal: its coefficients as a tuple of
+    floats, its core as a read-only array, with the coordinate bound
+    sqrt(_EXPONENT_CAP / max(1, max|coef|)) that boxeta_kernel checks
+    each coordinate of z and w against.  A miss evaluates the float node
+    through _finite_nodes and returns the entry unstored: boxeta_kernel
+    stores it once its pass over the coordinates has succeeded.  The
+    entry is stored and read as one tuple, so concurrent callers can at
+    worst recompute a node.
     """
     key = (q, t, eta)
     entry = p.__dict__.get("_boxeta_node")
     if entry is not None and entry[0] == key:
         return entry
-    es, bp, bm, core = _finite_node(_eta_node, p, q, t, eta)
-    stacked = _node_frame(es.unitary[None], bp[None], bm[None], _pencil(p, eta).mat[None], core[None])
-    core = stacked.core[0]
+    coef, core = _node_frame(_finite_nodes(p, q, t, eta))
     core.flags.writeable = False
     # a NaN coefficient makes the bound NaN, which every coordinate fails
-    scale = float(np.max(np.abs(stacked.coef), initial=1.0))
-    return key, _GaussianFrame(tuple(stacked.coef[0].tolist()), core), math.sqrt(_EXPONENT_CAP / scale)
+    scale = float(np.max(np.abs(coef), initial=1.0))
+    return key, _GaussianFrame(tuple(coef.tolist()), core), math.sqrt(_EXPONENT_CAP / scale)
 
 
 def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> KernelValue:
@@ -454,6 +450,12 @@ def _group_kernel(p: CurvaturePoint, q: int, t: float, x: HeisenbergPoint, zs, t
     Im(z^H V w), damped by the Gaussian envelope, is left to the adaptive
     estimate, as at gap 0.  The full-line tail reuses the density certificate
     (|Gaussian| <= 1) and the same width.
+
+    tol drives integrate_adaptive's Kronrod-Gauss estimate, an estimate and
+    not a bound, below tol * (1 + |I|), |I| the batch's largest entry of the
+    eta-integral before prefactor/(2*pi): absolute where |I| is small.  On
+    the full line each window [H, 2H], [-2H, -H] gets its own target, and
+    the errors add: n = 3, q = 3, |I| ~ 1e-6 at tol 1e-10 read 3.1e-10.
     """
     zs = np.asarray(zs, dtype=complex)
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
@@ -506,7 +508,7 @@ def heisenberg_heat_kernel(
 
     The one-point case of heisenberg_kernel_batch (see _group_kernel for
     the formula and the eta panels, at most pi/|theta_x - theta_y| wide),
-    with its eta-integral driven to 1e-10.
+    at tol 1e-10, which is not a relative error (see _group_kernel).
     """
     out = _group_kernel(p, q, t, x, [y.z], [y.theta], delta, False, 1e-10)
     return KernelValue(FormEndomorphism(basis(p.n, q), out[0]))
@@ -525,10 +527,10 @@ def heisenberg_kernel_batch(
     """Kernel K(t; x, u_i) for a batch of points u_i = (zs[i], thetas[i]).
 
     With adjoint=True returns K(t; u_i, x) instead; delta as in
-    heisenberg_heat_kernel.  One eta panel set, driven to 1e-8 by the
-    worst point, serves the whole batch, which is what makes grid
-    convolution tests affordable; its panels are at most half a period
-    of the widest theta gap's phase wide (see _group_kernel).  Returns
-    shape (len(zs), dim, dim).
+    heisenberg_heat_kernel.  One eta panel set, at tol 1e-8 against the
+    largest entry of the batch (see _group_kernel), serves the whole
+    batch, which is what makes grid convolution tests affordable; its
+    panels are at most half a period of the widest theta gap's phase
+    wide.  Returns shape (len(zs), dim, dim).
     """
     return _group_kernel(p, q, t, x, zs, thetas, delta, adjoint, 1e-8)

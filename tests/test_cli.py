@@ -534,6 +534,14 @@ def test_overflow_exits_2(capsys, argv):
     assert err.startswith("error: ") and "overflows" in err
 
 
+def test_eta_grid_overflow_names_the_eta(capsys):
+    # --eta-grid samples go through the one checked node entry, whose
+    # NonFinite names the first overflowing eta
+    code, out, err = run_cli(capsys, "density", "--input", POINT_DEFINITE, "--q", "0", "--t", "1",
+                             "--delta", "1", "--eta-grid=-1e300:1e300:1e300")
+    assert (code, out, err) == (2, "", "error: integrand overflows at eta=-1e+300\n")
+
+
 @pytest.mark.parametrize("command", ["density", "kernel"])
 def test_huge_truncation_exits_2_quickly(command):
     # the panel sums overflow in the first round; the refinement used to

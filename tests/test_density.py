@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -371,26 +372,48 @@ def _node_by_itself(p, q, t, eta):
     bp, bm = bose_pair(es.eigenvalues, t)
     d = density.component_scalars(bp, bm, q)
     E = exterior_power_matrix(es.unitary, q)
-    return es.eigenvalues, es.unitary, bp, bm, (E * d) @ E.conj().T
+    return M, es.eigenvalues, es.unitary, bp, bm, (E * d) @ E.conj().T
+
+
+def _node_arrays(nodes):
+    M, es, *rest = nodes
+    return [M, es.eigenvalues, es.unitary, *rest]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=8, deadline=None)
 def test_stacked_nodes_equal_nodes_one_at_a_time(n, seed):
+    # one evaluator shape: a float node has no stack axis, a stack any
+    # number of them, and every node gets the bits of its 2-D evaluation
     rng = np.random.default_rng(seed)
     p = curvature_point(rand_herm(rng, n), rand_herm(rng, n))
     etas = [*p.pencil_roots, 0.0, -0.0, 1e3, -1e3, *rng.uniform(-3.0, 3.0, 3)]
     t = float(rng.uniform(0.05, 5.0))
     for q in range(n + 1):
-        es, bp, bm, core = density._eta_nodes(p, q, t, etas)
-        stacked = [es.eigenvalues, es.unitary, bp, bm, core]
+        stacked = _node_arrays(density._eta_nodes(p, q, t, etas))
+        grid = _node_arrays(density._eta_nodes(p, q, t, np.reshape(etas, (1, -1, 1))))
         for k, eta in enumerate(etas):
-            single = density._eta_node(p, q, t, eta)
-            single = [single[0].eigenvalues, single[0].unitary, *single[1:]]
-            for a, b, c in zip(stacked, single, _node_by_itself(p, q, t, eta)):
-                assert a[k].shape == b.shape == c.shape
-                assert a[k].tobytes() == b.tobytes() == c.tobytes()
+            single = _node_arrays(density._eta_nodes(p, q, t, float(eta)))
+            for a, g, b, c in zip(stacked, grid, single, _node_by_itself(p, q, t, eta)):
+                assert a[k].shape == g[0, k, 0].shape == b.shape == c.shape
+                assert a[k].tobytes() == g[0, k, 0].tobytes() == b.tobytes() == c.tobytes()
+
+
+def test_integrand_overflow_names_the_first_overflowing_eta():
+    # the one checked entry over a node stack names the first eta whose
+    # node overflows, for a float node and for a stack alike; with L = I
+    # degree 0 overflows as eta -> -inf and degree n as eta -> +inf
+    p = curvature_point(np.eye(2), np.eye(2))
+    for q, eta in ((0, -1e300), (2, 1e300)):
+        with pytest.raises(NonFinite, match=re.escape(f"integrand overflows at eta={eta!r}")):
+            density_integrand(p, q, 1.0, eta)
+        assert np.all(density_integrand(p, q, 1.0, -eta).matrix == 0.0)
+    etas = np.array([0.5, 1e300, -2e300, -1e300])
+    with pytest.raises(NonFinite, match=re.escape("integrand overflows at eta=-2e+300")):
+        density._finite_nodes(p, 0, 1.0, etas)
+    nodes = density._finite_nodes(p, 0, 1.0, etas[:2])
+    assert nodes[-1].tobytes() == density._eta_nodes(p, 0, 1.0, etas[:2])[-1].tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 9))

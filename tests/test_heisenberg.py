@@ -137,7 +137,7 @@ def _eigenbasis_fiber(p, q, t, etas, z, ws, gaps, adjoint):
     when adjoint, times exp(i gap eta) and (2 pi)^-n core, with U, b+-
     and core from _eta_nodes and f = (b+ + b-)/2.
     """
-    es, bp, bm, core = density._eta_nodes(p, q, t, np.asarray(etas, dtype=float))
+    _, es, bp, bm, core = density._eta_nodes(p, q, t, np.asarray(etas, dtype=float))
     out = np.empty((len(etas), len(ws)) + core.shape[1:], dtype=complex)
     for k, eta in enumerate(etas):
         uh = es.unitary[k].conj().T
@@ -179,14 +179,16 @@ def test_fiber_kernels_match_the_eigenbasis_formula():
 
 
 def test_boxeta_memo_misses_on_any_key_change(monkeypatch):
+    # a miss is one call of the checked node entry, at the float eta
     keys = []
-    eta_node = heisenberg._eta_node
+    finite_nodes = heisenberg._finite_nodes
 
-    def counted(p, q, t, eta):
-        keys.append((id(p), q, t, eta))
-        return eta_node(p, q, t, eta)
+    def counted(p, q, t, etas):
+        assert type(etas) is float
+        keys.append((id(p), q, t, etas))
+        return finite_nodes(p, q, t, etas)
 
-    monkeypatch.setattr(heisenberg, "_eta_node", counted)
+    monkeypatch.setattr(heisenberg, "_finite_nodes", counted)
     p = curvature_point(np.diag([0.6, -0.2]), np.diag([1.0, 0.7]))
     other = curvature_point(p.curvature, p.levi)
     z, w = [0.1j, 0.2], [0.3, -0.1j]
