@@ -243,8 +243,14 @@ def pencil_det_poly(R, L) -> list[float]:
 
     The determinant is multilinear in rows, so the eta^k coefficient is
     (-2)^k times the sum of determinants over all ways of taking k rows
-    from L and the rest from R.  At desk scale (2^n determinants) this is
-    exact up to LU roundoff, with no interpolation step.  A coefficient
+    from L and the rest from R.  Mask m takes row i from L where bit i of
+    m is set, and the masks run in increasing order, each determinant
+    (LAPACK LU) added into the sum of its k = popcount(m) as it comes.
+    From m - 1 to m only the trailing bits flip: the lowest set bit of m
+    turns its row to L and the bits below it turn theirs back to R, so
+    a mask rewrites two rows on average, not n.  The cost is 2^n
+    determinants of n x n matrices, with no interpolation step, so n
+    above 16 raises InvalidArgument before any is taken.  A coefficient
     is zeroed only within its own rounding bound (see _log_rounding_floor),
     and trailing zeros are trimmed, so the degree equals n exactly when
     det L is nonzero, at any ratio of the scales of R and L.  A
@@ -257,20 +263,20 @@ def pencil_det_poly(R, L) -> list[float]:
             f"pencil operands disagree: {Rm.shape[0]} vs {Lm.shape[0]}"
         )
     n = Rm.shape[0]
-    sums = np.zeros(n + 1, dtype=complex)
-    rows = np.empty_like(Rm)
+    if n > 16:
+        raise InvalidArgument(f"pencil determinant at n={n} needs 2^{n} determinants; n <= 16 is supported")
+    rows = Rm.copy()
+    sums = [0j] * (n + 1)
     # entries near the largest double overflow here, which is checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        for mask in range(1 << n):
-            k = 0
-            for i in range(n):
-                if mask >> i & 1:
-                    rows[i] = Lm[i]
-                    k += 1
-                else:
-                    rows[i] = Rm[i]
-            sums[k] += np.linalg.det(rows)
-        coeffs = sums * (-2.0) ** np.arange(n + 1)
+        sums[0] += np.linalg.det(rows)
+        for mask in range(1, 1 << n):
+            i = (mask & -mask).bit_length() - 1  # the lowest set bit
+            rows[i] = Lm[i]
+            if i:
+                rows[:i] = Rm[:i]
+            sums[mask.bit_count()] += np.linalg.det(rows)
+        coeffs = np.array(sums) * (-2.0) ** np.arange(n + 1)
     if not np.isfinite(coeffs).all():
         raise NonFinite("pencil determinant polynomial overflows: entries too large")
     cmax = float(np.max(np.abs(coeffs)))

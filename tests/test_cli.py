@@ -558,3 +558,24 @@ def test_huge_truncation_exits_2_quickly(command):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and proc.stderr.startswith("error: ")
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["density", "morse"])
+def test_dimension_past_the_expansion_limit_exits_2_at_once(command, tmp_path):
+    # n = 17 would take 2^17 determinants per Morse cell partition; the
+    # expansion refuses it before the first one, as a usage error
+    src = str(pathlib.Path(crheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    point = HOSTILE / "dimension_17.json"
+    if command == "density":
+        argv = ["density", "--input", str(point), "--q", "0", "--t", "1", "--delta", "1"]
+    else:
+        descriptor = tmp_path / "d.json"
+        descriptor.write_text(_as_descriptor(point.read_text()))
+        argv = ["morse", "--input", str(descriptor), "--q", "1", "--delta", "1"]
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "crheat", *argv], capture_output=True, text=True,
+                          timeout=5, env=env)
+    assert time.monotonic() - start < 5.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: pencil determinant at n=17 needs 2^17 determinants; n <= 16 is supported\n"

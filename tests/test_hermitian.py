@@ -1,6 +1,7 @@
 """Eigensolver, guarded scalar functions, and pencil polynomial tests."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crheat.errors import NoConvergence, NonFinite, NonHermitian, ZeroPolynomial
+from crheat.errors import InvalidArgument, NoConvergence, NonFinite, NonHermitian, ZeroPolynomial
 from crheat.hermitian import (
     HermitianForm,
+    _log_rounding_floor,
     bose_pair,
     bose_ratio,
     eig_hermitian,
@@ -207,6 +209,102 @@ def test_pencil_poly_matches_lu():
             val = sum(c * eta ** k for k, c in enumerate(coeffs))
             ref = np.linalg.det(r - 2 * eta * l).real
             assert abs(val - ref) <= 1e-9 * max(abs(ref), 1e-3)
+
+
+def _det_poly_rewriting_every_row(R, L):
+    """pencil_det_poly with every row of the mixed matrix rewritten at every mask.
+
+    The same masks in the same order, the same determinants added into
+    numpy k-sums, and the same zeroing and trimming: only the row updates
+    differ from the library's.
+    """
+    Rm, Lm = HermitianForm(R).mat, HermitianForm(L).mat
+    n = Rm.shape[0]
+    sums = np.zeros(n + 1, dtype=complex)
+    rows = np.empty_like(Rm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mask in range(1 << n):
+            k = 0
+            for i in range(n):
+                if mask >> i & 1:
+                    rows[i] = Lm[i]
+                    k += 1
+                else:
+                    rows[i] = Rm[i]
+            sums[k] += np.linalg.det(rows)
+        coeffs = sums * (-2.0) ** np.arange(n + 1)
+    floor = _log_rounding_floor(Rm, Lm)
+    trimmed = [0.0 if c == 0.0 or math.log(abs(c)) <= f else c for c, f in zip(coeffs.real.tolist(), floor)]
+    while len(trimmed) > 1 and trimmed[-1] == 0.0:
+        trimmed.pop()
+    return trimmed
+
+
+def _singular(rng, n):
+    """A Hermitian matrix whose rows 0 and 1 are equal (the zero matrix at n = 1).
+
+    Entry (i, j) is m[i', j'] of a random Hermitian m of size n - 1, with
+    i' = max(i - 1, 0), so det is exactly 0 in floating point as well.
+    """
+    idx = np.maximum(np.arange(n) - 1, 0)
+    return rand_herm(rng, max(n - 1, 1))[np.ix_(idx, idx)] if n > 1 else np.zeros((1, 1))
+
+
+def test_det_poly_rows_follow_the_flipped_bits_bit_for_bit():
+    # only the rows whose mask bit flips are rewritten, so every mixed
+    # matrix, determinant and addition is the full rewrite's
+    rng = np.random.default_rng(20)
+    for n in range(1, 11):
+        l = rand_herm(rng, n)
+        for s in (2.0**-10, 1.0, 2.0**10):
+            r = s * rand_herm(rng, n)
+            assert pencil_det_poly(r, l) == _det_poly_rewriting_every_row(r, l), (n, s)
+        r, l = rand_herm(rng, n), _singular(rng, n)
+        assert pencil_det_poly(r, l) == _det_poly_rewriting_every_row(r, l), (n, "singular L")
+
+
+def test_det_poly_refuses_more_than_16_rows_before_expanding():
+    start = time.perf_counter()
+    with pytest.raises(InvalidArgument, match="n=17"):
+        pencil_det_poly(np.eye(17), np.eye(17))
+    assert time.perf_counter() - start < 0.5
+
+
+def _mp_det_poly(R, L, mp):
+    """c_0..c_n of det(R - 2 eta L) at 40 digits, from n + 1 rational eta.
+
+    det(R - 2 eta L), real for Hermitian R and L at real eta, is taken in
+    mpmath at eta = -1, -1 + 2/n, ..., 1 (its real part), and the
+    Vandermonde system in those eta is solved at the same precision.
+    """
+    n = R.shape[0]
+    etas = [mp.mpf(-1) + mp.mpf(2 * i) / max(n, 1) for i in range(n + 1)]
+    A, B = mp.matrix(R.tolist()), mp.matrix(L.tolist())
+    dets = [mp.re(mp.det(A - 2 * eta * B)) for eta in etas]
+    V = mp.matrix([[eta**k for k in range(n + 1)] for eta in etas])
+    return [float(c) for c in mp.lu_solve(V, mp.matrix(dets))]
+
+
+def test_det_poly_within_its_rounding_bound_of_a_40_digit_reference():
+    # |c_k - ref_k| <= 64 n eps 2^k E_k (_log_rounding_floor) for seeded
+    # pencils, a singular L and a pencil with a double root
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(21)
+    cases = []
+    for n in range(1, 7):
+        cases += [(rand_herm(rng, n), rand_herm(rng, n)), (rand_herm(rng, n), _singular(rng, n))]
+        # R = U diag(1, 1, 2, ...) U^H and L = I: a double root at eta = 1/2
+        u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        cases.append((u @ np.diag([1.0, 1.0, *range(2, n)][:n]) @ u.conj().T, np.eye(n)))
+    with mpmath.workdps(40):
+        for r, l in cases:
+            r, l = HermitianForm(r).mat, HermitianForm(l).mat
+            n = r.shape[0]
+            got = pencil_det_poly(r, l)
+            got += [0.0] * (n + 1 - len(got))
+            ref = _mp_det_poly(r, l, mpmath)
+            bound = [math.exp(f) for f in _log_rounding_floor(r, l)]
+            assert all(abs(c - w) <= b for c, w, b in zip(got, ref, bound)), (n, got, ref, bound)
 
 
 def test_real_roots_quadratic():

@@ -157,8 +157,9 @@ def test_local_relations_at_every_scale():
     - duality: morse_local(-s R, -L, n - j, s delta) = morse_local(s R, L, j, s delta).
     j is the signature of R, so the cell around eta = 0 counts.  Seeds 1-3
     measured at most 7.2e-14 relative on the first two and no difference
-    on the third, in 2.8-3.3 s (one BLAS thread); n = 14 checks scaling up
-    alone.
+    on the third, in 2.6 s (one BLAS thread; 4.2-4.6 s on the same machine
+    while pencil_det_poly rewrote every row at every mask); n = 14 checks
+    scaling up alone.
     """
     rng = np.random.default_rng(1)
     for n in list(range(2, 13)) + [14]:

@@ -16,10 +16,12 @@ heisenberg_heat_kernel, heisenberg_kernel_batch forward and
 adjoint, morse_global and heat_trace, at n = 1..3 and every degree q;
 then density_diagonal (truncated and full line) at n = 4..6, q = 2, 3,
 and heisenberg_heat_kernel at n = 4, q = 2; then exp_endo at n = 1..6,
-every q and t = 0.1, 1, 13, and on one matrix of entries 1e307; last
+every q and t = 0.1, 1, 13, and on one matrix of entries 1e307; then
 heisenberg_heat_kernel and heisenberg_kernel_batch forward and adjoint at
 n = 1..3, every q, theta gaps 0.5, 1, 2, 4, 8 and |z|, |w| up to 2, on
-[-2, 2] and the full line.
+[-2, 2] and the full line; last pencil_det_poly and morse_local
+(j the signature of R, on [-2s, 2s]) at n = 4..12, with R scaled by
+s = 2^-10, 1 and 2^10 against L, and once with a singular L.
 
 --compare matches the records of two such files call by call and prints,
 per function, the calls, how many are bitwise equal, the largest relative
@@ -183,6 +185,18 @@ def battery(crheat, np) -> list:
                     for adjoint in (False, True):
                         record("heisenberg_kernel_batch", f"{tag} delta={delta!r} adjoint={adjoint}",
                                lambda: crheat.heisenberg_kernel_batch(p, q, t, x, zs, thetas, delta, adjoint))
+    # the Morse determinant expansion at n = 4..12, with R scaled by 2^-10,
+    # 1 and 2^10 against L and with a singular L (rows 0 and 1 equal), and
+    # morse_local on the signature of R within [-2s, 2s]; appended last
+    for n in range(4, 13):
+        r, l = herm(n), herm(n)
+        rows = np.maximum(np.arange(n) - 1, 0)
+        pencils = [(f"n={n} R scale={s!r}", s * r, l, 2.0 * s) for s in (2.0**-10, 1.0, 2.0**10)]
+        pencils.append((f"n={n} singular L", r, l[np.ix_(rows, rows)], 2.0))
+        for tag, R, L, width in pencils:
+            j = int(np.sum(np.linalg.eigvalsh(R) < 0))
+            record("pencil_det_poly", tag, lambda: crheat.pencil_det_poly(R, L))
+            record("morse_local", f"{tag} j={j} delta={width!r}", lambda: crheat.morse_local(R, L, j, width))
     return records
 
 
