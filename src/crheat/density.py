@@ -70,14 +70,20 @@ class CurvaturePoint:
 
     @cached_property
     def pencil_roots(self) -> tuple:
-        """Sorted real roots of det M(eta), from pencil_det_poly's coefficients.
+        """Sorted real roots of det M(eta) (see _pencil_roots)."""
+        return _pencil_roots(self.curvature, self.levi)
 
-        Raises IdenticallyDegeneratePencil when det M vanishes for every eta.
-        """
-        try:
-            return tuple(pencil_real_roots(pencil_det_poly(self.curvature.mat, self.levi.mat)))
-        except ZeroPolynomial as exc:
-            raise IdenticallyDegeneratePencil("pencil determinant vanishes identically") from exc
+
+def _pencil_roots(C: HermitianForm, L: HermitianForm) -> tuple:
+    """Sorted real roots of det(C - 2*eta*L), from pencil_det_poly's coefficients.
+
+    The forms are not validated again.  Raises IdenticallyDegeneratePencil
+    when the determinant vanishes for every eta.
+    """
+    try:
+        return tuple(pencil_real_roots(pencil_det_poly(C, L)))
+    except ZeroPolynomial as exc:
+        raise IdenticallyDegeneratePencil("pencil determinant vanishes identically") from exc
 
 
 def curvature_point(curvature, levi, beta: float = 0.0, weight: float = 1.0) -> CurvaturePoint:
@@ -134,11 +140,11 @@ def tail_decay(levi, q: int) -> DecayReport:
     component's best available 2*|lambda|; eigenvalues snapped to zero by
     the dead band are non-decaying directions.
     """
-    L = levi.mat if isinstance(levi, HermitianForm) else HermitianForm(levi).mat
-    n = L.shape[0]
+    form = levi if isinstance(levi, HermitianForm) else HermitianForm(levi)
+    n = form.n
     check_degree(n, q)
-    dead = 1e-12 * max(1.0, frobenius_norm(L))
-    lam = np.array(eig_hermitian(L).eigenvalues)
+    dead = 1e-12 * max(1.0, frobenius_norm(form.mat))
+    lam = np.array(eig_hermitian(form).eigenvalues)
     lam[np.abs(lam) <= dead] = 0.0
     pos = int(np.sum(lam > 0))
     neg = int(np.sum(lam < 0))
@@ -288,72 +294,38 @@ def tail_certificate(
     or 2*||L||_F is too large to represent.  The bound is for the raw
     integrand, without the (2*pi)^-(n+1) normalization.  A NaN or
     infinite argument raises NonFinite, and a negative norm or t <= 0
-    InvalidArgument.
+    InvalidArgument.  _eta_integral calls it afresh at each window
+    doubling.
     """
     check_degree(n, q)
-    if not math.isfinite(H):
-        raise NonFinite("tail certificate arguments must be finite")
-    return _tail_bound(curvature_norm, levi_norm, n, t, rate)(H)
-
-
-def _tail_bound(curvature_norm: float, levi_norm: float, n: int, t: float, rate: float):
-    """H -> tail_certificate(curvature_norm, levi_norm, n, q, t, rate, H) for finite H.
-
-    The arguments are checked as in tail_certificate.  The log-domain
-    terms that do not depend on H (lgamma, log, comb) are built once, on
-    the first H that passes the validity condition, and each H then adds
-    its own terms in tail_certificate's order, so a window-doubling loop
-    gets the bits of a fresh tail_certificate at each H.
-    """
-    if not all(map(math.isfinite, (curvature_norm, levi_norm, t, rate))):
+    if not all(map(math.isfinite, (curvature_norm, levi_norm, t, rate, H))):
         raise NonFinite("tail certificate arguments must be finite")
     _check_time(t)
     if curvature_norm < 0.0 or levi_norm < 0.0:
         raise InvalidArgument("norms must be nonnegative")
     kappa = t * rate
-    built = []
-
-    def terms():
-        # (base + lgamma(k + 1) - lgamma(i + 1), i, (k - i + 1) * log(kappa)) per
-        # term, or None when the bound cannot be represented
-        beta0 = curvature_norm + 1.0 / t
-        beta1 = 2.0 * levi_norm
-        if math.isinf(kappa) or math.isinf(beta1):
-            return None
-        log_k = math.log(kappa)
-        rows = []
-        for k in range(n + 1):
-            if beta1 == 0.0 and k > 0:
-                continue
-            base = (
-                math.log(math.comb(n, k))
-                + (k * math.log(beta1) if k > 0 else 0.0)
-                + (n - k) * math.log(beta0)
-            )
-            for i in range(k + 1):
-                rows.append((base + math.lgamma(k + 1) - math.lgamma(i + 1), i, (k - i + 1) * log_k))
-        return math.log(_DECAY_FACTOR_CONST) + t * curvature_norm, rows
-
-    def bound(H: float) -> float:
-        if rate <= 0.0 or H <= 0.0:
-            return math.inf
-        if t * (rate * H - curvature_norm) < 1.0:
-            return math.inf
-        if not built:
-            built.append(terms())
-        if built[0] is None:
-            return math.inf
-        head, rows = built[0]
-        log_H = math.log(H)
-        log_terms = [a + i * log_H - b for a, i, b in rows]
-        top = max(log_terms)
-        log_sum = top + math.log(math.fsum(math.exp(v - top) for v in log_terms))
-        log_cert = head - kappa * H + log_sum
-        if log_cert > 700.0:
-            return math.inf
-        return math.exp(log_cert)
-
-    return bound
+    beta1 = 2.0 * levi_norm
+    if rate <= 0.0 or H <= 0.0 or t * (rate * H - curvature_norm) < 1.0:
+        return math.inf
+    if math.isinf(kappa) or math.isinf(beta1):
+        return math.inf
+    beta0 = curvature_norm + 1.0 / t
+    log_k, log_H = math.log(kappa), math.log(H)
+    log_terms = []
+    for k in range(n + 1 if beta1 > 0.0 else 1):
+        base = (
+            math.log(math.comb(n, k))
+            + (k * math.log(beta1) if k > 0 else 0.0)
+            + (n - k) * math.log(beta0)
+        )
+        for i in range(k + 1):
+            log_terms.append(base + math.lgamma(k + 1) - math.lgamma(i + 1) + i * log_H - (k - i + 1) * log_k)
+    top = max(log_terms)
+    log_sum = top + math.log(math.fsum(math.exp(v - top) for v in log_terms))
+    log_cert = math.log(_DECAY_FACTOR_CONST) + t * curvature_norm - kappa * H + log_sum
+    if log_cert > 700.0:
+        return math.inf
+    return math.exp(log_cert)
 
 
 def _two_sided_decay(p: CurvaturePoint, q: int) -> DecayReport:
@@ -400,10 +372,9 @@ def _eta_integral(p: CurvaturePoint, q: int, t: float, delta, f, tol: float, wid
     l_norm = frobenius_norm(p.levi.mat)
     H = 2.0 * (1.0 + (max(abs(r) for r in roots) if roots else 0.0))
     total = integrate_adaptive(f, -H, H, tol, interior_breaks=roots, max_width=width)
-    plus = _tail_bound(c_norm, l_norm, p.n, t, rep.rate_plus)
-    minus = _tail_bound(c_norm, l_norm, p.n, t, rep.rate_minus)
     for _ in range(60):
-        cert = plus(H) + minus(H)
+        cert = (tail_certificate(c_norm, l_norm, p.n, q, t, rep.rate_plus, H)
+                + tail_certificate(c_norm, l_norm, p.n, q, t, rep.rate_minus, H))
         if cert * cert_scale <= 1e-12 * float(np.max(np.abs(total))):
             return total
         total = total + integrate_adaptive(f, H, 2.0 * H, tol, max_width=width)
@@ -453,23 +424,3 @@ def _density_trace(p: CurvaturePoint, q: int, t: float, delta: float | None = No
     # at delta == 0 the driver returns the zero density matrix, whose trace is 0
     tr = float(np.trace(total).real) if np.ndim(total) else float(total)
     return tr * (2.0 * math.pi) ** (-(p.n + 1))
-
-
-def _signature_at(R: np.ndarray, L: np.ndarray, eta: float):
-    """(negatives, positives, zeros) among the eigenvalues of M(eta) = R - 2*eta*L.
-
-    Eigenvalues with |mu| <= 1e-10 * ||M||_F count as zeros, with ||M||_F
-    taken as the 2-norm of the eigenvalues (math.hypot, which scales).
-    An M, or a norm, too large to represent raises NonFinite.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = R - 2.0 * eta * L
-    if not np.isfinite(M).all():
-        raise NonFinite(f"pencil overflows at the probe eta={eta!r}")
-    mu = eig_hermitian(M).eigenvalues
-    dead = 1e-10 * math.hypot(*mu.tolist())
-    if not math.isfinite(dead):
-        raise NonFinite(f"pencil eigenvalues overflow at the probe eta={eta!r}")
-    neg = int(np.sum(mu < -dead))
-    pos = int(np.sum(mu > dead))
-    return neg, pos, len(mu) - neg - pos

@@ -1,10 +1,11 @@
 """Dense complex Hermitian linear algebra for small matrices (n <= 16).
 
-Provides the validated Hermitian form, the eigensolver (LAPACK through
-numpy.linalg.eigh), scalar functions of the eigenvalues with
-removable-singularity guards, determinant polynomials of the pencil
-R - 2*eta*L, and their real roots.  Everything here is pure and safe to
-call concurrently.
+Provides the validated Hermitian form, the eigensolvers (LAPACK through
+numpy.linalg.eigh and eigvalsh, at every n and stack shape), scalar
+functions of the eigenvalues with removable-singularity guards, the
+determinant polynomial of the pencil R - 2*eta*L, and the real roots of
+a polynomial (companion matrix, then bisection).  numpy is the only
+dependency.  Everything here is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -107,19 +108,14 @@ def eig_hermitian(H) -> EigenSystem:
     Returns ascending eigenvalues and orthonormal column eigenvectors as
     read-only arrays.  A trusted form (HermitianForm.trusted) may stack
     matrices along leading axes, which the results then share, as with
-    numpy's eigh.  A LAPACK convergence failure raises NoConvergence.
+    numpy's eigh.  At n = 1 LAPACK returns the real diagonal and
+    eigenvectors of ones, bit for bit.  A LAPACK convergence failure
+    raises NoConvergence.
     """
-    A = as_hermitian(H)
-    if A.shape[-1] == 1:
-        # The pair LAPACK returns, without the cost of eigh's Python wrapper;
-        # the n = 1 kernels evaluate it tens of thousands of times.
-        vals = A.real.diagonal(axis1=-2, axis2=-1).copy()
-        vecs = np.ones(A.shape, dtype=complex)
-    else:
-        try:
-            vals, vecs = np.linalg.eigh(A)
-        except np.linalg.LinAlgError as e:
-            raise NoConvergence(f"LAPACK eigh failed: {e}") from None
+    try:
+        vals, vecs = np.linalg.eigh(as_hermitian(H))
+    except np.linalg.LinAlgError as e:
+        raise NoConvergence(f"LAPACK eigh failed: {e}") from None
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return EigenSystem(vals, vecs)
@@ -128,19 +124,15 @@ def eig_hermitian(H) -> EigenSystem:
 def eigvals_hermitian(H) -> np.ndarray:
     """The eigenvalues of eig_hermitian(H) without its eigenvectors (LAPACK eigvalsh).
 
-    Ascending and read-only, with the same n = 1 shortcut, stacks and
-    NoConvergence as eig_hermitian.  The values can differ from
-    eig_hermitian's in the last bits, since LAPACK takes another path
-    when it needs no eigenvectors.
+    Ascending and read-only, with the same stacks and NoConvergence as
+    eig_hermitian.  The values can differ from eig_hermitian's in the
+    last bits, since LAPACK takes another path when it needs no
+    eigenvectors.
     """
-    A = as_hermitian(H)
-    if A.shape[-1] == 1:
-        vals = A.real.diagonal(axis1=-2, axis2=-1).copy()
-    else:
-        try:
-            vals = np.linalg.eigvalsh(A)
-        except np.linalg.LinAlgError as e:
-            raise NoConvergence(f"LAPACK eigvalsh failed: {e}") from None
+    try:
+        vals = np.linalg.eigvalsh(as_hermitian(H))
+    except np.linalg.LinAlgError as e:
+        raise NoConvergence(f"LAPACK eigvalsh failed: {e}") from None
     vals.flags.writeable = False
     return vals
 
@@ -254,7 +246,8 @@ def pencil_det_poly(R, L) -> list[float]:
     is zeroed only within its own rounding bound (see _log_rounding_floor),
     and trailing zeros are trimmed, so the degree equals n exactly when
     det L is nonzero, at any ratio of the scales of R and L.  A
-    coefficient too large to represent raises NonFinite.
+    coefficient too large to represent raises NonFinite.  R and L are
+    validated as Hermitian, except a HermitianForm, which already is.
     """
     Rm = as_hermitian(R)
     Lm = as_hermitian(L)
@@ -323,9 +316,12 @@ def _polyval(coeffs: np.ndarray, x: float) -> float:
 def pencil_real_roots(p) -> list[float]:
     """Sorted real roots of a polynomial given as c_0..c_n, multiplicities collapsed.
 
-    Companion-matrix candidates (numpy polyroots) are polished by bisection,
-    with a damped Newton fallback for even-multiplicity roots where no sign
-    change brackets the candidate.  Two adjacent roots r < r' merge into r
+    Companion-matrix candidates (numpy polyroots) with a small imaginary
+    part are polished by bisection on the first bracket
+    r +- 4^k 1e-7 (1 + |r|), k = 0..39, with a sign change.  A candidate
+    with none, as at an even-multiplicity root, stays as numpy gives it.  A candidate
+    is kept when |p| there is within 1e-9 max|c_k| max(1, |r|)^deg.  Two
+    adjacent roots r < r' merge into r
     when r' - r <= 1e-7 (1 + |r'|), or when p at their midpoint is within
     its rounding bound of 0 (see _sign_unknown), so that no interval of
     unknown sign separates two roots.  When the companion matrix of p
@@ -435,7 +431,7 @@ def _polish_root(coeffs: np.ndarray, r0: float, target: float) -> float:
         h *= 4.0
         a, b = r0 - h, r0 + h
     else:
-        return _newton_root(coeffs, r0, target)
+        return r0  # no sign change brackets r0: pencil_real_roots' residual filter judges it
     fa = _polyval(coeffs, a)
     best_x, best_f = r0, abs(_polyval(coeffs, r0))
     for _ in range(200):
@@ -451,22 +447,3 @@ def _polish_root(coeffs: np.ndarray, r0: float, target: float) -> float:
             a, fa = m, fm
     return best_x
 
-
-def _newton_root(coeffs: np.ndarray, r0: float, target: float) -> float:
-    dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-    x = r0
-    best_x, best_f = x, abs(_polyval(coeffs, x))
-    for _ in range(200):
-        fx = _polyval(coeffs, x)
-        if abs(fx) < best_f:
-            best_x, best_f = x, abs(fx)
-        if abs(fx) < target:
-            return x
-        dfx = _polyval(dcoeffs, x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        x = x - step
-        if abs(step) < 1e-17 * (1.0 + abs(x)):
-            break
-    return best_x

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _check_delta, _density_trace, _signature_at, curvature_point, y_condition
+from .density import _check_delta, _density_trace, _pencil_roots, y_condition
 from .errors import DivergentIntegral, EmptyDescriptor, MixedDimension, NonFinite
 from .exterior import check_degree
-from .hermitian import eig_hermitian, frobenius_norm, pencil_det_poly
+from .hermitian import HermitianForm, eig_hermitian, frobenius_norm, pencil_det_poly
 
 
 class _DivergentType:
@@ -114,9 +114,13 @@ def rx_partition(R, L) -> EtaPartition:
     IdenticallyDegeneratePencil when det(R - 2*eta*L) vanishes for every
     eta.
     """
-    Rm = np.asarray(R, dtype=complex)
-    Lm = np.asarray(L, dtype=complex)
-    roots = curvature_point(Rm, Lm).pencil_roots
+    return _partition(HermitianForm(R), HermitianForm(L))
+
+
+def _partition(R: HermitianForm, L: HermitianForm) -> EtaPartition:
+    """rx_partition of two validated forms, which are not validated again."""
+    roots = _pencil_roots(R, L)
+    Rm, Lm = R.mat, L.mat
     s = float(np.max(np.abs(np.stack((Rm, Lm)).view(np.float64))))
     r_norm, l_norm = frobenius_norm(Rm / s), frobenius_norm(Lm / s)
     span = 1.0 + (r_norm / l_norm if s * l_norm >= 1.0 else r_norm * s)
@@ -138,6 +142,26 @@ def rx_partition(R, L) -> EtaPartition:
     return EtaPartition(tuple(roots), tuple(cells))
 
 
+def _signature_at(R: np.ndarray, L: np.ndarray, eta: float):
+    """(negatives, positives, zeros) among the eigenvalues of M(eta) = R - 2*eta*L.
+
+    Eigenvalues with |mu| <= 1e-10 * ||M||_F count as zeros, with ||M||_F
+    taken as the 2-norm of the eigenvalues (math.hypot, which scales).
+    An M, or a norm, too large to represent raises NonFinite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = R - 2.0 * eta * L
+    if not np.isfinite(M).all():
+        raise NonFinite(f"pencil overflows at the probe eta={eta!r}")
+    mu = eig_hermitian(M).eigenvalues
+    dead = 1e-10 * math.hypot(*mu.tolist())
+    if not math.isfinite(dead):
+        raise NonFinite(f"pencil eigenvalues overflow at the probe eta={eta!r}")
+    neg = int(np.sum(mu < -dead))
+    pos = int(np.sum(mu > dead))
+    return neg, pos, len(mu) - neg - pos
+
+
 def _antiderivative(coeffs) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     return np.concatenate([[0.0], c / np.arange(1, len(c) + 1)])
@@ -155,11 +179,15 @@ def morse_local(R, L, j: int, delta: float | None = None):
     integral too large to represent (a huge delta or huge forms).
     """
     Rm = np.asarray(R, dtype=complex)
-    Lm = np.asarray(L, dtype=complex)
     check_degree(Rm.shape[0], j, "j")
     _check_delta(delta)
-    coeffs = pencil_det_poly(Rm, Lm)
-    part = rx_partition(Rm, Lm)
+    return _morse_local(HermitianForm(Rm), HermitianForm(L), j, delta)
+
+
+def _morse_local(R: HermitianForm, L: HermitianForm, j: int, delta: float | None):
+    """morse_local of two validated forms, with j and delta checked."""
+    coeffs = pencil_det_poly(R, L)
+    part = _partition(R, L)
     anti = _antiderivative(coeffs)
     total = 0.0
     for cell in part.cells:
@@ -196,7 +224,10 @@ def morse_global(d: ManifoldDescriptor, q: int, delta: float | None = None) -> M
     """
     n = d.n
     check_degree(n, q)
+    _check_delta(delta)
     norm = (2.0 * math.pi) ** (-(n + 1))
+    # one Levi spectrum per point serves the signature condition at every j
+    levi_spectra = [eig_hermitian(p.levi).eigenvalues for p in d.points] if delta is None else []
     weak = []
     feasible = []
     y_ok = []
@@ -204,7 +235,7 @@ def morse_global(d: ManifoldDescriptor, q: int, delta: float | None = None) -> M
         acc = 0.0
         finite = True
         for p in d.points:
-            v = morse_local(p.curvature.mat, p.levi.mat, j, delta)
+            v = _morse_local(p.curvature, p.levi, j, delta)
             if v is Divergent:
                 finite = False
                 break
@@ -213,15 +244,7 @@ def morse_global(d: ManifoldDescriptor, q: int, delta: float | None = None) -> M
             raise NonFinite("weighted Morse sum overflows")
         weak.append(norm * acc if finite else math.nan)
         feasible.append(finite)
-        if delta is None:
-            y_ok.append(
-                all(
-                    y_condition(eig_hermitian(p.levi.mat).eigenvalues, j)
-                    for p in d.points
-                )
-            )
-        else:
-            y_ok.append(True)
+        y_ok.append(all(y_condition(lam, j) for lam in levi_spectra))
     strong = []
     for m in range(q + 1):
         usable = all(feasible[: m + 1]) and all(y_ok[: m + 1])

@@ -222,14 +222,52 @@ def test_omega_overflow_is_a_typed_error():
         assert omega_endomorphism(1e308 * np.eye(2), 1).matrix[1, 1] == 1e308
 
 
+VALIDATE_CHECKS = [
+    "hermitian: bose ratio inverts expm1",
+    "hermitian: tanh ratio inverts tanh",
+    "hermitian: eigensolver residual, orthonormality and spectrum",
+    "hermitian: double pencil root recovered",
+    "hermitian: pencil determinant polynomial",
+    "exterior: alternating trace equals determinant",
+    "exterior: dual-path exponential agrees",
+    "exterior: exterior power preserves unitarity",
+    "density: tail decay matches subset enumeration",
+    "density: density invariant under pencil shift",
+    "density: truncation error below certificate",
+    "mehler: free kernel closed form",
+    "mehler: oscillator kernel at origin",
+    "mehler: kernel is hermitian",
+    "heisenberg: coincident kernel equals density (n=1)",
+    "heisenberg: coincident kernel equals density (n=2)",
+    "heisenberg: truncated kernel adjoint symmetry",
+    "heisenberg: finite at separated angles",
+    "morse: identity pencil partition",
+    "morse: indefinite cell integral exact",
+    "morse: unbounded cell flagged divergent",
+    "morse: truncated identity integral",
+    "morse: two equal points double the bound",
+    "morse: heat trace drops divergent degree",
+]
+
+
 def test_importing_the_library_and_its_cli_loads_no_scipy():
+    # numpy is the only runtime dependency: the import, and then every
+    # validate suite through the CLI, in one fresh interpreter
     src = str(pathlib.Path(crheat.__file__).resolve().parents[1])
-    code = ("import sys, crheat, crheat.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+    scipy_modules = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    code = (f"import sys, crheat, crheat.cli; print({scipy_modules}); "
+            "code = crheat.cli.main(['validate', '--suite', 'all']); "
+            f"print({scipy_modules}); print(code)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-2] == "[]"
+    assert lines[-1] == "0"
+    checks = lines[1:-3]
+    assert [line.split("  (")[0][len("ok   "):] for line in checks] == VALIDATE_CHECKS
+    assert all(line.startswith("ok   ") for line in checks)
+    assert lines[-3] == f"passed {len(VALIDATE_CHECKS)}/{len(VALIDATE_CHECKS)}"
 
 
 def test_exterior_power_unitary():

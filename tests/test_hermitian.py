@@ -64,11 +64,24 @@ def test_eig_results_are_read_only():
 
 
 def test_eig_one_by_one_matches_lapack():
-    for a in (0.0, -2.5, 1e300):
-        es = eig_hermitian([[a]])
-        vals, vecs = np.linalg.eigh(np.array([[complex(a)]]))
-        assert np.array_equal(es.eigenvalues, vals) and es.eigenvalues.dtype == vals.dtype
-        assert np.array_equal(es.unitary, vecs) and es.unitary.dtype == vecs.dtype
+    # LAPACK's n = 1 answer, for stacks and for one validated matrix: the
+    # real part of the entry, signed zero and subnormal included, and the
+    # eigenvector 1
+    rng = np.random.default_rng(61)
+    forms = [HermitianForm([[a]]) for a in (0.0, -2.5, 5e-324, 1e300)]
+    for k in (1, 3, 15, 150):
+        diag = np.concatenate([[-0.0, 5e-324, 1e300], rng.standard_normal(max(k - 3, 0))])[:k]
+        stack = np.zeros((k, 1, 1), dtype=complex)
+        stack.real[:, 0, 0] = diag  # diag + 0j would turn -0.0 into 0.0
+        forms.append(HermitianForm.trusted(stack))
+    for form in forms:
+        want = np.ascontiguousarray(form.mat.real.diagonal(axis1=-2, axis2=-1))
+        es, vals = eig_hermitian(form), eigvals_hermitian(form)
+        for got in (es.eigenvalues, vals):
+            assert got.dtype == np.float64 and not got.flags.writeable
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert es.unitary.dtype == complex and es.unitary.tobytes() == np.ones(form.mat.shape, complex).tobytes()
+    assert np.signbit(forms[4].mat.real[0, 0, 0])  # the stacks do carry -0.0
 
 
 def test_eig_lapack_failure_is_no_convergence(monkeypatch):
@@ -91,11 +104,6 @@ def test_eigvals_match_eig_hermitian():
         assert np.max(np.abs(vals - want)) <= 1e-14 * scale
         one = eigvals_hermitian(stack[0])
         assert np.array_equal(one, vals[0]) or np.max(np.abs(one - vals[0])) <= 1e-14 * scale
-    # n = 1 takes the shortcut, with LAPACK's values and dtype
-    for a in (0.0, -2.5, 1e300):
-        vals = eigvals_hermitian([[a]])
-        want = np.linalg.eigvalsh(np.array([[complex(a)]]))
-        assert np.array_equal(vals, want) and vals.dtype == want.dtype and not vals.flags.writeable
 
 
 def test_eigvals_lapack_failure_is_no_convergence(monkeypatch):
@@ -324,6 +332,25 @@ def test_real_roots_triple_is_one_root():
     assert len(roots) == 1 and roots[0] == pytest.approx(1.0, abs=1e-4)
     # two simple roots 1e-6 apart keep a sign-definite interval between them
     assert len(pencil_real_roots(np.polynomial.polynomial.polyfromroots([1.0, 1.0 + 1e-6]))) == 2
+
+
+@pytest.mark.parametrize("scale", [2.0**-10, 1.0, 2.0**10, 2.0**40])
+def test_double_roots_without_a_bracket_keep_the_companion_candidate(scale):
+    # (x - s)^2 + eps s^2 at eps = 1e-11, 1e-10, 3e-10: at s >= 1 no sign
+    # change brackets the candidates, which stay as the companion matrix
+    # gives them; the residual filter keeps or drops them.  Then exact
+    # double roots at 1.3 s and -2.2 s.  The values are the ones a damped
+    # Newton fallback on those candidates gave, bit for bit.
+    want = {
+        2.0**-10: [[0.0009765625], [0.0009765625], [0.0009765624999999999],
+                   [0.00126953125], [-0.0021484375]],
+        1.0: [[1.0], [1.0], [0.9999999999999999], [1.3], [-2.2]],
+        2.0**10: [[1024.0], [1024.0], [], [1331.2], [-2252.8]],
+        2.0**40: [[1099511627776.0], [1099511627776.0], [], [1429365116108.8], [-2418925581107.2]],
+    }[scale]
+    polys = [[scale * scale * (1.0 + eps), -2.0 * scale, 1.0] for eps in (1e-11, 1e-10, 3e-10)]
+    polys += [[(r * scale) ** 2, -2.0 * r * scale, 1.0] for r in (1.3, -2.2)]
+    assert [pencil_real_roots(c) for c in polys] == want
 
 
 def test_real_roots_none():

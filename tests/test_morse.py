@@ -429,16 +429,13 @@ def test_heat_trace_tail_scales_the_certificate_by_the_component_count(monkeypat
         pass
 
     def certificate(*args):
-        # the driver's bound for one side, as a function of the window H
-        def at(H):
-            calls.append((args, H))
-            if len(calls) > 2:
-                raise WindowGrew
-            return 1e-12 * raw / 3.0
+        # the bound for one side at one window H (the last argument)
+        calls.append(args)
+        if len(calls) > 2:
+            raise WindowGrew
+        return 1e-12 * raw / 3.0
 
-        return at
-
-    monkeypatch.setattr(density, "_tail_bound", certificate)
+    monkeypatch.setattr(density, "tail_certificate", certificate)
     with pytest.raises(WindowGrew):
         heat_trace(d, 1, 1.0)
 

@@ -19,9 +19,15 @@ and heisenberg_heat_kernel at n = 4, q = 2; then exp_endo at n = 1..6,
 every q and t = 0.1, 1, 13, and on one matrix of entries 1e307; then
 heisenberg_heat_kernel and heisenberg_kernel_batch forward and adjoint at
 n = 1..3, every q, theta gaps 0.5, 1, 2, 4, 8 and |z|, |w| up to 2, on
-[-2, 2] and the full line; last pencil_det_poly and morse_local
+[-2, 2] and the full line; then pencil_det_poly and morse_local
 (j the signature of R, on [-2s, 2s]) at n = 4..12, with R scaled by
-s = 2^-10, 1 and 2^10 against L, and once with a singular L.
+s = 2^-10, 1 and 2^10 against L, and once with a singular L; then
+rx_partition (breakpoints, then each cell's negatives, positives and
+zeros) at n = 2..12 on the same four kinds of pencil; then
+pencil_real_roots on (x - s)^2 + eps s^2 for eps = 1e-11, 1e-10,
+3e-10 and on the double roots 1.3 s and -2.2 s, at s = 2^-10, 1, 2^10
+and 2^40; last tail_certificate on 24 seeded argument sets, each at a
+window H and its next two doublings.
 
 --compare matches the records of two such files call by call and prints,
 per function, the calls, how many are bitwise equal, the largest relative
@@ -197,6 +203,40 @@ def battery(crheat, np) -> list:
             j = int(np.sum(np.linalg.eigvalsh(R) < 0))
             record("pencil_det_poly", tag, lambda: crheat.pencil_det_poly(R, L))
             record("morse_local", f"{tag} j={j} delta={width!r}", lambda: crheat.morse_local(R, L, j, width))
+
+    # the signature partition, on the pencils above at n = 2..12; appended last
+    def partition(R, L):
+        part = crheat.rx_partition(R, L)
+        return list(part.breakpoints) + [v for c in part.cells for v in (c.negatives, c.positives, c.zeros)]
+
+    for n in range(2, 13):
+        r, l = herm(n), herm(n)
+        rows = np.maximum(np.arange(n) - 1, 0)
+        pencils = [(f"n={n} R scale={s!r}", s * r, l) for s in (2.0**-10, 1.0, 2.0**10)]
+        pencils.append((f"n={n} singular L", r, l[np.ix_(rows, rows)]))
+        for tag, R, L in pencils:
+            record("rx_partition", tag, lambda: partition(R, L))
+    # near-double and double real roots, where no sign change brackets the
+    # companion candidates at s >= 1; appended last
+    for s in (2.0**-10, 1.0, 2.0**10, 2.0**40):
+        for eps in (1e-11, 1e-10, 3e-10):
+            c = [s * s * (1.0 + eps), -2.0 * s, 1.0]
+            record("pencil_real_roots", f"s={s!r} eps={eps!r}", lambda: crheat.pencil_real_roots(c))
+        for r in (1.3, -2.2):
+            c = [(r * s) ** 2, -2.0 * r * s, 1.0]
+            record("pencil_real_roots", f"s={s!r} double root {r!r} s", lambda: crheat.pencil_real_roots(c))
+    # the tail certificate at a window H and its next two doublings, as
+    # the full-line window loop asks for it; appended last
+    for k in range(24):
+        n = int(rng.integers(1, 11))
+        q = int(rng.integers(0, n + 1))
+        c_norm, l_norm = (float(v) for v in rng.uniform(0.0, 60.0, 2))
+        t = float(10.0 ** rng.uniform(-2.0, 1.5))
+        rate = float(rng.uniform(0.0, 30.0))
+        H = float(10.0 ** rng.uniform(-1.0, 2.5))
+        for w in (H, 2.0 * H, 4.0 * H):
+            record("tail_certificate", f"set {k} n={n} q={q} H={w!r}",
+                   lambda: crheat.tail_certificate(c_norm, l_norm, n, q, t, rate, w))
     return records
 
 
