@@ -70,8 +70,15 @@ class CurvaturePoint:
 
     @cached_property
     def pencil_roots(self) -> tuple:
-        """Sorted real roots of det M(eta) (see _pencil_roots)."""
-        return _pencil_roots(self.curvature, self.levi)
+        """Sorted real roots of det M(eta) (see _pencil_roots), the panel breaks of eta-integrals.
+
+        An identically vanishing det M(eta) has no roots to break at and
+        gives (), kept like any other answer.
+        """
+        try:
+            return _pencil_roots(self.curvature, self.levi)
+        except IdenticallyDegeneratePencil:
+            return ()
 
 
 def _pencil_roots(C: HermitianForm, L: HermitianForm) -> tuple:
@@ -362,10 +369,7 @@ def _eta_integral(p: CurvaturePoint, q: int, t: float, delta, f, tol: float, wid
         return np.zeros((dim, dim), dtype=complex)
     if delta is None:
         rep = _two_sided_decay(p, q)
-    try:
-        roots = p.pencil_roots
-    except IdenticallyDegeneratePencil:
-        roots = []
+    roots = p.pencil_roots
     if delta is not None:
         return integrate_adaptive(f, -delta, delta, tol, interior_breaks=roots, max_width=width)
     c_norm = frobenius_norm(p.curvature.mat)

@@ -2,9 +2,10 @@
 
 The degree-q endomorphism induced by an n x n Hermitian coefficient matrix
 via wedge-and-contract, and its exponential computed along two independent
-routes (a scaled-and-squared Taylor polynomial of the dense endomorphism vs
-diagonalization plus q-fold exterior powers), with numpy alone.  The
-multi-index basis is lexicographic everywhere in the library.
+routes (diagonalization of the dense Hermitian endomorphism vs
+diagonalization of the coefficient matrix plus q-fold exterior powers),
+with numpy alone.  The multi-index basis is lexicographic everywhere in
+the library.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegreeOutOfRange, InvalidArgument, NonFinite, PathMismatch
-from .hermitian import as_hermitian, eig_hermitian
+from .hermitian import HermitianForm, as_hermitian, eig_hermitian
 
 
 @dataclass(frozen=True)
@@ -215,74 +216,21 @@ def exterior_power_matrix(U, q: int) -> np.ndarray:
     return E
 
 
-# 1/k! for k = 0..18, padded with c_19 = 0 into five groups of four: row j
-# holds the coefficients c_4j..c_4j+3 of _expm's Paterson-Stockmeyer sum.
-_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(19)] + [0.0]).reshape(5, 4)
-
-
-def _expm(A: np.ndarray) -> np.ndarray:
-    """exp(A) for a square complex A by scaling, a degree-18 Taylor polynomial and squaring.
-
-    Path (a) of exp_endo, with numpy products alone and no eigensolve.
-    Scaling: with b the largest real or imaginary part of A in modulus,
-    the frexp exponents of b and of ||A / b||_1 give the e with
-    2^(e-1) <= ||A||_1 < 2^e, so no finite A overflows on the way, and
-    s = max(0, e + 1) makes B = 2^-s A (exact: a power of two) satisfy
-    ||B||_1 < 1/2.  Truncation: T = sum_{k<=18} B^k / k! leaves
-    R = exp(B) - T = sum_{k>=19} B^k / k! with
-        ||R||_1 <= (2^-19 / 19!) / (1 - 1/40) < 1.7e-23.
-    R commutes with B, so T = exp(B) (I - E) with E = exp(-B) R and
-    ||E||_1 <= e^(1/2) ||R||_1 < 2.7e-23, and s squarings give
-        T^(2^s) = exp(A) (I - E)^(2^s),
-    a relative error of at most (1 + 2.7e-23)^(2^s) - 1, about
-    1.1e-22 ||A||_1 since 2^s <= 4 ||A||_1.  That is below the unit
-    roundoff for ||A||_1 < 1e6, so the rounding of the products, not
-    the truncation, limits the result (Moler and Van Loan, SIAM Rev. 45
-    (2003); Higham, SIMAX 26 (2005)).  T is summed by Paterson and
-    Stockmeyer: with Q_j(B) = sum_{i<4} c_{4j+i} B^i,
-        T = Q_0 + B^4 (Q_1 + B^4 (Q_2 + B^4 (Q_3 + B^4 Q_4))),
-    seven products in all.  A finite diagonal A (the zero matrix
-    included) takes the exact elementwise exponential instead: squaring
-    cannot resolve a diagonal spread past about 2^52, whose small entries
-    fall below half an ulp of 1 in 2^-s A.  A non-finite A, or squarings
-    that overflow, leave NaN or infinite entries, which the caller checks.
-    """
-    dim = A.shape[0]
-    if not np.any(A[~np.eye(dim, dtype=bool)]) and np.isfinite(A).all():
-        return np.diag(np.exp(np.diagonal(A)))
-    b = float(np.max(np.abs(A.view(np.float64))))
-    mb, eb = math.frexp(b)
-    mn, en = math.frexp(float(np.max(np.abs(A / b).sum(axis=0))))
-    s = max(0, eb + en + math.frexp(mb * mn)[1] + 1)
-    powers = np.empty((4, dim, dim), dtype=complex)
-    powers[0] = np.eye(dim)
-    powers[1] = A * 2.0**-s
-    powers[2] = powers[1] @ powers[1]
-    powers[3] = powers[2] @ powers[1]
-    b4 = powers[2] @ powers[2]
-    q = np.tensordot(_TAYLOR, powers, axes=1)
-    T = q[4]
-    for j in (3, 2, 1, 0):
-        T = b4 @ T
-        T += q[j]
-    for _ in range(s):
-        T = T @ T
-    return T
-
-
 def exp_endo(M, q: int, t: float) -> FormEndomorphism:
     """exp(-t * omega_endomorphism(M, q)) computed two independent ways.
 
-    Path (a) is the scaling-and-squaring Taylor exponential of the induced
-    endomorphism (_expm: numpy products only, no eigensolve); path (b)
-    diagonalizes M and conjugates the diagonal exp(-t * sum(mu_J)) by
-    the exterior power of the eigenvector matrix.  The two must agree to
-    1e-8 relative to the result norm, otherwise the sign conventions
-    drifted and PathMismatch is raised.  Path (b) is returned.  A
-    non-finite t raises NonFinite, and so does a t for which the
-    exponential is too large to represent (path (b) is formed first, so
-    path (a) never sees such a t), and a path (a) that is not finite,
-    since then the check cannot be made.
+    Path (a) diagonalizes the induced endomorphism Omega itself (LAPACK's
+    eigh: Omega of a symmetrized M is exactly Hermitian, since each
+    off-diagonal entry is one +-M entry and each diagonal entry a sum of
+    M's real diagonal) and forms V diag(exp(-t w)) V^H; path (b)
+    diagonalizes M and conjugates the diagonal exp(-t * sum(mu_J)) by the
+    exterior power of the eigenvector matrix.  The two share no
+    eigensolve and must agree to 1e-8 relative to the result norm,
+    otherwise the sign conventions drifted and PathMismatch is raised.
+    Path (b) is returned.  A non-finite t raises NonFinite, and so does a
+    t for which the exponential is too large to represent (path (b) is
+    formed first, so path (a) never sees such a t), and a path (a) that
+    is not finite, since then the check cannot be made.
     """
     if not math.isfinite(t):
         raise NonFinite("t must be finite")
@@ -296,10 +244,11 @@ def exp_endo(M, q: int, t: float) -> FormEndomorphism:
         path_b = (E * d) @ E.conj().T
     if not np.isfinite(path_b).all():
         raise NonFinite(f"exp(-t*omega) overflows at t={t!r}")
+    ws = eig_hermitian(HermitianForm.trusted(omega.matrix))
     with np.errstate(over="ignore", invalid="ignore"):
-        path_a = _expm(-t * omega.matrix)
+        path_a = (ws.unitary * np.exp(-t * ws.eigenvalues)) @ ws.unitary.conj().T
     if not np.isfinite(path_a).all():
-        raise NonFinite(f"the Taylor path of exp(-t*omega) is not finite at t={t!r}: "
+        raise NonFinite(f"the omega-eigenbasis path of exp(-t*omega) is not finite at t={t!r}: "
                         "the two paths cannot be compared")
     scale = max(1.0, float(np.max(np.abs(path_b))))
     if float(np.max(np.abs(path_a - path_b))) > 1e-8 * scale:

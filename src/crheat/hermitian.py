@@ -64,8 +64,9 @@ class HermitianForm:
 
         For arrays the library builds from validated forms, such as the
         pencil C - 2*eta*L of two symmetrized forms (conjugation and real
-        scaling keep exact symmetry), where validating again would only
-        return the same array.  mat may carry leading stack axes, as a
+        scaling keep exact symmetry) or the endomorphism omega of one
+        (see exterior.exp_endo), where validating again would only return
+        the same array.  mat may carry leading stack axes, as a
         stack of pencils at several eta does; n is its last dimension.
         """
         form = object.__new__(cls)

@@ -48,12 +48,6 @@ MAX_ROUNDS = 60
 MAX_NODES = 50_000
 
 
-def _norm(v) -> float:
-    return float(np.max(np.abs(v))) if np.ndim(v) else abs(float(np.real(v))) + abs(
-        float(np.imag(v))
-    )
-
-
 def subdivide_width(breaks, max_width: float) -> list[float]:
     """Refine a sorted break list so no panel exceeds max_width."""
     out = [breaks[0]]
@@ -81,8 +75,9 @@ def integrate_adaptive(
     edges (the integrand may have removable kinks there, e.g. pencil roots);
     max_width caps the initial panel width for oscillatory integrands.
     Returns the accumulated value; the combined Kronrod-vs-Gauss error is
-    driven below tol * (1 + |result|).  Raises InvalidArgument
-    for b < a or a max_width that is not positive (NaN included);
+    driven below tol * (1 + |result|), with |result| the largest modulus
+    of its entries.  Raises InvalidArgument for b < a or a max_width
+    that is not positive (NaN included);
     NonFinite for an infinite limit, when f returns a NaN or infinite
     value at any node, or when a panel sum or the total overflows; and
     MaxSubdivisions when MAX_ROUNDS refinement rounds do not reach the
@@ -137,7 +132,7 @@ def integrate_adaptive(
                 total = total + v
         err_total = sum(errors)
         # not tol * (1 + |total|), which rounds differently
-        target = tol + tol * _norm(total)
+        target = tol + tol * float(np.max(np.abs(total)))
         if not math.isfinite(err_total + target):
             raise NonFinite("a panel sum overflows: the integral is too large to represent")
         if err_total <= target:

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import crheat
+from crheat import exterior
 from crheat.errors import DegreeOutOfRange, InvalidArgument, NonFinite, PathMismatch
 from crheat.exterior import (
+    FormEndomorphism,
     MultiIndexBasis,
-    _expm,
     _exterior_power,
     basis,
     exp_endo,
@@ -156,7 +157,7 @@ def test_exp_endo_diagonal_shortcut():
 
 
 def test_exp_endo_dual_paths_random():
-    # the function itself raises PathMismatch if the spectral and Taylor
+    # the function itself raises PathMismatch if the two eigenvector
     # routes drift past 1e-8, so agreement is just "no exception"
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -164,50 +165,72 @@ def test_exp_endo_dual_paths_random():
         exp_endo(m, 2, float(rng.uniform(0.05, 4.0)))
 
 
-def test_taylor_path_matches_scipy_expm():
-    """Path (a) of exp_endo against scipy.linalg.expm, an oracle the library does not import.
+def test_exp_endo_matches_scipy_expm():
+    """exp_endo against scipy.linalg.expm(-t Omega), an oracle the library does not import.
 
-    Seeded Hermitian and general complex draws, dim 1..20, ||A||_1 from
-    1e-3 to 1e3.  The largest error measured over 3000 such draws,
-    relative to max |exp(A)|, was 9.1 eps max(1, ||A||_1); the test
-    allows 64.  A Taylor degree of 8, or one squaring dropped, fails it.
+    Seeded Hermitian M at n = 1..6, every q, t in [0.05, 5].  The largest
+    error measured over 8100 such calls (60 seeds), relative to
+    max |exp(-t Omega)|, was 49 eps max(1, t ||Omega||_1); the test
+    allows 128.
     """
     from scipy.linalg import expm
 
     rng = np.random.default_rng(17)
     eps = np.finfo(float).eps
-    for k in range(600):
-        dim = int(rng.integers(1, 21))
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        if k % 2:
-            a = (a + a.conj().T) / 2
-        norm = 10.0 ** rng.uniform(-3, 3)
-        a *= norm / np.abs(a).sum(axis=0).max()
-        ref = expm(a)
-        # both are 0 where exp(A) underflows
-        err = np.abs(_expm(a) - ref).max()
-        assert err <= 64 * eps * max(1.0, norm) * np.abs(ref).max(), (dim, norm, err)
+    for _ in range(5):
+        for n in range(1, 7):
+            m = rand_herm(rng, n)
+            for q in range(n + 1):
+                t = float(rng.uniform(0.05, 5.0))
+                a = -t * omega_endomorphism(m, q).matrix
+                ref = expm(a)
+                err = np.abs(exp_endo(m, q, t).matrix - ref).max()
+                bound = 128 * eps * max(1.0, np.abs(a).sum(axis=0).max()) * np.abs(ref).max()
+                assert err <= bound, (n, q, t, err)
 
 
-def test_exp_endo_refuses_a_taylor_path_it_cannot_compare():
-    # -t * omega overflows to -inf here, while path (b) is finite; a NaN
-    # path (a) used to pass the check, since NaN > tol is False
-    with pytest.raises(NonFinite):
-        exp_endo(np.diag([1e308, 1.0]), 1, 2.0)
-    # squarings from ||A||_1 ~ 1e307 cannot reproduce exp(-2e307) P + (I - P):
-    # the rounding left in the eigenvalue-1 part doubles at each squaring
+def _drifted_omega(drift):
+    def omega(M, q):
+        w = omega_endomorphism(M, q)
+        return FormEndomorphism(w.basis, drift(w.matrix))
+    return omega
+
+
+# route (b) on the exterior power of U^T, and route (a) on Omega^T or -Omega
+_MUTATIONS = {
+    "power of U^T": ("exterior_power_matrix", lambda U, q: exterior_power_matrix(U.T, q)),
+    "Omega^T": ("omega_endomorphism", _drifted_omega(lambda w: np.ascontiguousarray(w.T))),
+    "-Omega": ("omega_endomorphism", _drifted_omega(lambda w: -w)),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_MUTATIONS))
+def test_exp_endo_catches_a_drifted_route(monkeypatch, mutation):
+    # each must fail the 1e-8 agreement on every draw
+    monkeypatch.setattr(exterior, *_MUTATIONS[mutation])
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        q = int(rng.integers(1, n))
+        with pytest.raises(PathMismatch):
+            exp_endo(rand_herm(rng, n), q, float(rng.uniform(0.05, 5.0)))
+
+
+def test_exp_endo_answers_where_a_taylor_path_refused():
+    # -t * omega overflows to -inf at diag(1e308, 1), and x = 1e306, 1e307
+    # need exp(-2x) P + (I - P), which squarings from ||A||_1 ~ x cannot give
+    out = exp_endo(np.diag([1e308, 1.0]), 1, 2.0)
+    assert np.array_equal(out.matrix, np.diag([0.0, math.exp(-2.0)]))
     for x in (1e306, 1e307):
-        with pytest.raises((NonFinite, PathMismatch)):
-            exp_endo([[x, x], [x, x]], 1, 1.0)
+        out = exp_endo([[x, x], [x, x]], 1, 1.0)
+        assert np.abs(out.matrix - np.array([[0.5, -0.5], [-0.5, 0.5]])).max() <= 1e-15
 
 
 def test_exp_endo_takes_a_wide_diagonal_spread():
-    # 2^-s A of these puts the -1 below half an ulp of 1, which squaring
-    # cannot recover; a diagonal A takes the exact elementwise exponential
+    # squaring 2^-s A of these would put the -1 below half an ulp of 1
     for big in (4e15, 1e308):
         out = exp_endo(np.diag([big, -1.0]), 1, 1.0)
         assert np.array_equal(out.matrix, np.diag([0.0, math.e]).astype(complex))
-        assert np.array_equal(_expm(np.diag([-big, 1.0]).astype(complex)), np.diag([0.0, math.e]))
 
 
 def test_omega_overflow_is_a_typed_error():

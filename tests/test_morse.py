@@ -7,9 +7,10 @@ import pytest
 import scipy.linalg
 
 from crheat import density
-from crheat.density import curvature_point, density_diagonal
+from crheat.density import curvature_point, density_diagonal, density_integrand
 from crheat.errors import (
     DegreeOutOfRange,
+    DimensionMismatch,
     DivergentIntegral,
     EmptyDescriptor,
     IdenticallyDegeneratePencil,
@@ -18,6 +19,7 @@ from crheat.errors import (
     NonFinite,
     NonRigidTruncation,
 )
+from crheat.heisenberg import HeisenbergPoint, heisenberg_heat_kernel
 from crheat.hermitian import pencil_det_poly
 from crheat.morse import (
     Divergent,
@@ -27,6 +29,7 @@ from crheat.morse import (
     morse_local,
     rx_partition,
 )
+from crheat.oracles import reference_quadrature
 from crheat.quadrature import integrate_adaptive
 
 R2 = np.diag([-1.0, 1.0])
@@ -80,6 +83,42 @@ def test_partition_cells_tile_line():
 def test_partition_degenerate_pencil():
     with pytest.raises(IdenticallyDegeneratePencil):
         rx_partition(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+
+
+def test_degenerate_pencil_integrates_without_breaks_from_one_expansion(monkeypatch):
+    # det(C - 2 eta L) = 0 for every eta at C = L = diag(0, 1): the point
+    # keeps () as its panel breaks, and the partition still has no answer
+    calls = []
+    expand = density.pencil_det_poly
+    monkeypatch.setattr(density, "pencil_det_poly", lambda C, L: calls.append(1) or expand(C, L))
+    form = np.diag([0.0, 1.0])
+    p = curvature_point(form, form)
+    t, delta = 1.0, 2.0
+    x = HeisenbergPoint((0.2 - 0.1j, 0.3j), 0.1)
+    traces = []
+    for q in range(3):
+        val = density_diagonal(p, q, t, delta).matrix
+        ref = reference_quadrature(lambda eta: density_integrand(p, q, t, float(eta)).matrix,
+                                   -delta, delta, tol=1e-12) * NORM3
+        # measured 8.3e-17 on entries of 3.1e-2
+        assert np.max(np.abs(val - ref)) < 1e-15
+        kernel = heisenberg_heat_kernel(p, q, t, x, x, delta).matrix
+        assert np.max(np.abs(kernel - val)) < 1e-12 * np.max(np.abs(val))
+        traces.append(float(np.trace(val).real))
+    assert heat_trace(ManifoldDescriptor("flat", (p,)), 2, t, delta) == pytest.approx(traces, abs=1e-15)
+    assert p.pencil_roots == ()
+    assert len(calls) == 1
+    with pytest.raises(IdenticallyDegeneratePencil):
+        rx_partition(form, form)
+    with pytest.raises(IdenticallyDegeneratePencil):
+        morse_local(form, form, 0, delta)
+
+
+def test_pencils_of_two_sizes_are_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        rx_partition(np.eye(2), np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        morse_local(np.eye(2), np.eye(3), 0)
 
 
 def test_local_exact_examples():

@@ -26,8 +26,12 @@ rx_partition (breakpoints, then each cell's negatives, positives and
 zeros) at n = 2..12 on the same four kinds of pencil; then
 pencil_real_roots on (x - s)^2 + eps s^2 for eps = 1e-11, 1e-10,
 3e-10 and on the double roots 1.3 s and -2.2 s, at s = 2^-10, 1, 2^10
-and 2^40; last tail_certificate on 24 seeded argument sets, each at a
-window H and its next two doublings.
+and 2^40; then tail_certificate on 24 seeded argument sets, each at a
+window H and its next two doublings; last exp_endo at q = 1 on
+diag(1e308, 1) at t = 2, and at t = 1 on the matrix of entries 1e306,
+diag(4e15, -1) and diag(1e308, -1) (with the entries-1e307 call above,
+the inputs a Taylor path of exp_endo once refused or needed a diagonal
+shortcut for).
 
 --compare matches the records of two such files call by call and prints,
 per function, the calls, how many are bitwise equal, the largest relative
@@ -158,7 +162,7 @@ def battery(crheat, np) -> list:
             record("heisenberg_heat_kernel", "n=4 q=2 delta=2.0",
                    lambda: crheat.heisenberg_heat_kernel(p, 2, t, x, y, 2.0).matrix)
     # exp_endo last, so every earlier case draws the inputs it always drew;
-    # the 1e307 matrix is one whose two paths cannot be compared
+    # the 1e307 matrix is one a Taylor path could not compare
     for n in range(1, 7):
         m = herm(n)
         for q in range(n + 1):
@@ -237,6 +241,13 @@ def battery(crheat, np) -> list:
         for w in (H, 2.0 * H, 4.0 * H):
             record("tail_certificate", f"set {k} n={n} q={q} H={w!r}",
                    lambda: crheat.tail_certificate(c_norm, l_norm, n, q, t, rate, w))
+    # exp_endo at entries near the float limit and at wide diagonal
+    # spreads, where a scaled-and-squared Taylor path failed; appended last
+    for case, m, t in (("n=2 q=1 t=2.0 diag(1e308, 1)", np.diag([1e308, 1.0]), 2.0),
+                       ("n=2 q=1 t=1.0 entries 1e306", np.full((2, 2), 1e306), 1.0),
+                       ("n=2 q=1 t=1.0 diag(4e15, -1)", np.diag([4e15, -1.0]), 1.0),
+                       ("n=2 q=1 t=1.0 diag(1e308, -1)", np.diag([1e308, -1.0]), 1.0)):
+        record("exp_endo", case, lambda: crheat.exp_endo(m, 1, t).matrix)
     return records
 
 
