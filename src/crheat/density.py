@@ -95,8 +95,7 @@ def _pencil_roots(C: HermitianForm, L: HermitianForm) -> tuple:
 
 def curvature_point(curvature, levi, beta: float = 0.0, weight: float = 1.0) -> CurvaturePoint:
     """Build a CurvaturePoint from array-likes, validating Hermiticity."""
-    c = curvature if isinstance(curvature, HermitianForm) else HermitianForm(curvature)
-    l = levi if isinstance(levi, HermitianForm) else HermitianForm(levi)
+    c, l = HermitianForm(curvature), HermitianForm(levi)
     return CurvaturePoint(n=c.n, levi=l, curvature=c, beta=float(beta), weight=float(weight))
 
 
@@ -147,7 +146,7 @@ def tail_decay(levi, q: int) -> DecayReport:
     component's best available 2*|lambda|; eigenvalues snapped to zero by
     the dead band are non-decaying directions.
     """
-    form = levi if isinstance(levi, HermitianForm) else HermitianForm(levi)
+    form = HermitianForm(levi)
     n = form.n
     check_degree(n, q)
     dead = 1e-12 * max(1.0, frobenius_norm(form.mat))

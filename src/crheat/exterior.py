@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegreeOutOfRange, InvalidArgument, NonFinite, PathMismatch
-from .hermitian import HermitianForm, as_hermitian, eig_hermitian
+from .hermitian import HermitianForm, eig_hermitian
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def omega_endomorphism(M, q: int) -> FormEndomorphism:
     sum(mu_j for j in J), which is the anchor every kernel formula needs.
     An entry whose sum overflows raises NonFinite.
     """
-    Mm = as_hermitian(M)
+    Mm = HermitianForm(M).mat
     n = Mm.shape[0]
     b = basis(n, q)
     dim = len(b.indices)
@@ -234,7 +234,7 @@ def exp_endo(M, q: int, t: float) -> FormEndomorphism:
     """
     if not math.isfinite(t):
         raise NonFinite("t must be finite")
-    Mm = as_hermitian(M)
+    Mm = HermitianForm(M).mat
     omega = omega_endomorphism(Mm, q)
     es = eig_hermitian(Mm)
     E = exterior_power_matrix(es.unitary, q)

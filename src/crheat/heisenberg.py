@@ -31,7 +31,6 @@ from .exterior import FormEndomorphism, basis
 from .hermitian import (
     HermitianForm,
     _check_time,
-    as_hermitian,
     bose_pair,
     eig_hermitian,
     tanh_ratio,
@@ -89,7 +88,7 @@ def _mehler_frame(data: bytes, shape: tuple, t: float):
     bose_pair(mu, 2t) and (2*pi)^-n * prod(bose(mu, 2t)), the arrays
     read-only.  A matrix that fails validation raises and is not kept.
     """
-    Am = as_hermitian(np.frombuffer(data, dtype=complex).reshape(shape))
+    Am = HermitianForm(np.frombuffer(data, dtype=complex).reshape(shape)).mat
     n = Am.shape[0]
     es = eig_hermitian(Am)
     mu = es.eigenvalues
@@ -139,10 +138,10 @@ def mehler_kernel(A, t: float, x, y) -> complex:
 
 
 # Node-point pairs per Gaussian sub-block of _fiber_values.  A sub-block's
-# temporaries have about this many entries (times 2n^2, the exponent's
-# products), so peak memory stays near the size of the output however
-# many points a round serves, while a one-point kernel assembles whole
-# node stacks at once.
+# temporaries are a few arrays of this many entries (the exponent's two
+# sums, one product at a time, the phase and the exponential), so peak
+# memory stays near the size of the output however many points a round
+# serves, while a one-point kernel assembles whole node stacks at once.
 _BLOCK_PAIRS = 4096
 
 # Entries per node stack of _fiber_values, counting dim^2 * q^2 per node
@@ -162,9 +161,11 @@ class _GaussianFrame(NamedTuple):
     F = U diag(f) U^H and V = -M(eta) (see _gaussian_block): F_aa
     for each a, then 2 Re F_ab and 2 Im F_ab for each a < b in row-major
     order, then the same n^2 coefficients of V without the factor 2.
-    core = (2*pi)^-n times the core of _eta_nodes.  A node stack keeps
-    arrays shaped (K, 2n^2) and (K, dim, dim); a boxeta_kernel memo entry
-    keeps one node, its coefficients a tuple of floats.
+    This is the order in which _exponent reads them.  core = (2*pi)^-n
+    times the core of _eta_nodes.  A node stack keeps arrays shaped
+    (K, 2n^2) and (K, dim, dim), and _gaussian_block hands _exponent the
+    columns of coef; a boxeta_kernel memo entry keeps one node, its
+    coefficients a tuple of floats.
     """
 
     coef: np.ndarray | tuple
@@ -211,56 +212,52 @@ def _node_frame(nodes) -> _GaussianFrame:
     return _GaussianFrame(coef, core * (2.0 * math.pi) ** (-n))
 
 
-def _point_terms(zr, zi, wr, wi) -> list:
-    """The point terms that pair with _GaussianFrame.coef, from the parts of z and w.
+def _exponent(coef, z, w):
+    """(-d^H F d, Im(z^H V w)) for d = z - w, from the coefficients of a _GaussianFrame.
 
-    zr, zi, wr, wi hold, coordinate by coordinate, the real and imaginary
-    parts of z and w, as arrays over points.  With d = z - w = x + i y:
-    |d_a|^2, then x_a x_b + y_a y_b and y_a x_b - x_a y_b for a < b, whose
-    sum against F's coefficients is d^H F d; then the parts of
-    conj(z_a) w_b that V's coefficients weigh into Im(z^H V w).  This is
-    the order the block path and a boxeta_kernel memo hit share: the n
-    diagonal terms first, then each pair a < b in row-major order with
-    its two parts, F's terms and V's alike.  A hit forms each term by the
-    same operations in one pass over the coordinates of z and w.
+    One pass over the coordinates of z and w, read as their real and
+    imaginary parts.  Each point term is formed from the parts: with
+    d = x + i y, |d_a|^2, then x_a x_b + y_a y_b and y_a x_b - x_a y_b
+    for a < b, whose sum against F's coefficients is d^H F d; and the
+    parts of conj(z_a) w_b that V's coefficients weigh into Im(z^H V w).
+    Each product coef[i] * term is added to its sum from -0.0 (-0.0 + x
+    is x, bit for bit) in coef's order: the n diagonal terms first, then
+    each pair a < b in row-major order with its two parts.  The
+    coordinates and coefficients may be Python floats (a boxeta_kernel
+    memo hit) or numpy arrays that broadcast (a block of nodes against a
+    block of points): each operation is rounded once either way, so the
+    two give the same bits.
     """
-    n = len(zr)
-    x = [zr[k] - wr[k] for k in range(n)]
-    y = [zi[k] - wi[k] for k in range(n)]
-    f_terms = [x[k] * x[k] + y[k] * y[k] for k in range(n)]
-    v_terms = [zr[k] * wi[k] - zi[k] * wr[k] for k in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            f_terms += [x[a] * x[b] + y[a] * y[b], y[a] * x[b] - x[a] * y[b]]
-            v_terms += [zr[a] * wi[b] - zi[a] * wr[b] + (zr[b] * wi[a] - zi[b] * wr[a]),
-                        zr[a] * wr[b] + zi[a] * wi[b] - (zr[b] * wr[a] + zi[b] * wi[a])]
-    return f_terms + v_terms
-
-
-def _exponent(products):
-    """(-d^H F d, Im(z^H V w)) from the products coef[i] * term[i], summed in index order.
-
-    Index order is _point_terms' order, which a boxeta_kernel memo hit
-    follows as it adds its products one by one.
-    """
-    m = len(products) // 2
-    quad, im = products[0], products[m]
-    for i in range(1, m):
-        quad = quad + products[i]
-        im = im + products[m + i]
+    n = len(z)
+    m = n * n
+    quad = im = -0.0
+    parts = []
+    for i, (zk, wk) in enumerate(zip(z, w)):
+        zr, zi, wr, wi = zk.real, zk.imag, wk.real, wk.imag
+        x, y = zr - wr, zi - wi
+        quad += coef[i] * (x * x + y * y)
+        im += coef[m + i] * (zr * wi - zi * wr)
+        parts.append((zr, zi, wr, wi, x, y))
+    i = n
+    for a, (zra, zia, wra, wia, xa, ya) in enumerate(parts):
+        for zrb, zib, wrb, wib, xb, yb in parts[a + 1:]:
+            quad += coef[i] * (xa * xb + ya * yb)
+            quad += coef[i + 1] * (ya * xb - xa * yb)
+            im += coef[m + i] * (zra * wib - zia * wrb + (zrb * wia - zib * wra))
+            im += coef[m + i + 1] * (zra * wrb + zia * wib - (zrb * wra + zib * wia))
+            i += 2
     return -quad, im
 
 
-def _gaussian_block(terms, frame: _GaussianFrame, phase, adjoint: bool, out):
-    """Fiber heat kernels of a block of nodes, from their stacked frame.
+def _gaussian_block(z, ws, frame: _GaussianFrame, phase, adjoint: bool, out):
+    """Fiber heat kernels of a block of nodes, from their stacked frame, at the points z, ws[i].
 
-    terms, shaped (2n^2, P), are the _point_terms of z and P points w_i;
-    the frame's arrays stack, node by node, what _node_frame makes of the
+    The frame's arrays stack, node by node, what _node_frame makes of the
     eigenvectors U of M(eta), the Bose values b+- = bose(+-mu, t) and the
-    core of _eta_nodes.  Entry [k, i] of out, shaped (len(frame.coef), P,
-    dim, dim), becomes
+    core of _eta_nodes.  Entry [k, i] of out, shaped (len(frame.coef),
+    len(ws), dim, dim), becomes
 
-        exp(i*phase[k, i]) * (2*pi)^-n * g_k(z, w_i) * core_k
+        exp(i*phase[k, i]) * (2*pi)^-n * g_k(z, ws[i]) * core_k
 
     with g_k the exponential of the Mehler quadratic forms at time t in
     the eigenframe (mu, U_k).  With ze = U^H z, we = U^H w and
@@ -280,14 +277,13 @@ def _gaussian_block(terms, frame: _GaussianFrame, phase, adjoint: bool, out):
     The real part is <= 0, so |g| <= 1, and g = 1 at z = w.  adjoint
     conjugates g; phase None leaves out the phase.
 
-    The node terms are the frame's coefficients and the point terms come
-    formed (_block_terms), so the exponent is one broadcast product of
-    the two and a sum in index order (_exponent): real products and sums,
-    each rounded once, whether on arrays of any shape or on the floats of
-    a boxeta_kernel memo hit, which therefore gets the bits of its block
-    entry.  Each (node, point) pair then costs one complex exponential.
+    The exponent is _exponent's, with each coefficient a column over the
+    block's nodes and each coordinate of w a row over its points, the
+    routine a boxeta_kernel memo hit runs on floats, so a hit gets the
+    bits of its block entry.  Each (node, point) pair then costs one
+    complex exponential.
     """
-    re, im = _exponent(frame.coef.T[:, :, None] * terms[:, None, :])
+    re, im = _exponent(list(frame.coef.T[:, :, None]), z.tolist(), list(ws.T))
     if adjoint:
         im = -im
     if phase is not None:
@@ -298,28 +294,19 @@ def _gaussian_block(terms, frame: _GaussianFrame, phase, adjoint: bool, out):
     np.multiply(np.exp(arg)[:, :, None, None], frame.core[:, None], out=out)
 
 
-def _block_terms(z, ws) -> np.ndarray:
-    """The _point_terms of z and each point of ws, shaped (2n^2, len(ws))."""
-    return np.array(_point_terms(z.real.tolist(), z.imag.tolist(), list(ws.real.T), list(ws.imag.T)))
-
-
-def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoint: bool, terms=None):
+def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoint: bool):
     """Fiber heat kernels at every eta node, from z to every point of ws.
 
     Entry [k, i] of the (len(etas), len(ws), dim, dim) result is the
     _gaussian_block entry of node etas[k] and point ws[i], with phase
-    gaps[i]*etas[k] (none when gaps is None).  terms, when given, is
-    _block_terms(z, ws), which a caller evaluating many rounds at the same
-    points forms once.  The nodes go in stacks of at most _BLOCK_MINORS
-    entries, each evaluated by one _eta_nodes call, and a stack's frame is
-    assembled by _gaussian_block in slices of at most _BLOCK_PAIRS
-    node-point pairs.
+    gaps[i]*etas[k] (none when gaps is None).  The nodes go in stacks of
+    at most _BLOCK_MINORS entries, each evaluated by one _eta_nodes call,
+    and a stack's frame is assembled by _gaussian_block in slices of at
+    most _BLOCK_PAIRS node-point pairs.
     """
     etas = np.asarray(etas, dtype=float)
     dim = math.comb(p.n, q)
     out = np.empty((len(etas), len(ws), dim, dim), dtype=complex)
-    if terms is None:
-        terms = _block_terms(z, ws)
     stack = max(1, _BLOCK_MINORS // max(p.n, dim * q) ** 2)
     step = max(1, _BLOCK_PAIRS // max(1, len(ws)))
     for lo in range(0, len(etas), stack):
@@ -328,7 +315,7 @@ def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoin
         for k in range(0, len(nodes), step):
             block = nodes[k : k + step]
             phase = None if gaps is None else gaps[None, :] * block[:, None]
-            _gaussian_block(terms, _GaussianFrame(*(a[k : k + step] for a in frame)), phase, adjoint,
+            _gaussian_block(z, ws, _GaussianFrame(*(a[k : k + step] for a in frame)), phase, adjoint,
                             out[lo + k : lo + k + len(block)])
     return out
 
@@ -349,7 +336,7 @@ def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float) -> tuple:
     sqrt(_EXPONENT_CAP / max(1, max|coef|)) that boxeta_kernel checks
     each coordinate of z and w against.  A miss evaluates the float node
     through _finite_nodes and returns the entry unstored: boxeta_kernel
-    stores it once its pass over the coordinates has succeeded.  The
+    stores it once every coordinate has passed that check.  The
     entry is stored and read as one tuple, so concurrent callers can at
     worst recompute a node.
     """
@@ -369,15 +356,14 @@ def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> Kern
 
     The node's Gaussian frame at (q, t, eta) is memoized on p (see
     _memo_node), so a sweep over z or w at one frequency evaluates the
-    node once and each call pays only for the forms in z and w.  It sums
-    them in Python floats in one pass over the coordinates, by the
-    operations and in the order of _point_terms and _exponent, so the
-    value has the bits of the group kernels' block entry.  The same pass
-    checks each coordinate of z and w against the node's bound before
-    that coordinate enters any sum: a NaN or infinite one, or one not
-    below the bound in modulus, raises NonFinite, as does a NaN or
-    infinite eta.  A failing call leaves the memo as it was; a miss
-    stores its entry only after the whole pass.
+    node once and each call pays only for the forms in z and w.  First
+    each coordinate of z and w is checked against the node's bound: a NaN
+    or infinite one, or one not below the bound in modulus, raises
+    NonFinite, as does a NaN or infinite eta.  Then _exponent sums the
+    forms in Python floats, the routine the group kernels' blocks run on
+    arrays, so the value has the bits of the block entry.  A failing
+    call leaves the memo as it was; a miss stores its entry only once
+    every coordinate has passed.
     """
     _check_time(t)
     n = p.n
@@ -391,36 +377,18 @@ def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> Kern
         raise NonFinite("frequency must be finite")
     entry = _memo_node(p, q, t, eta)
     _, frame, bound = entry
-    # _point_terms and _exponent in one pass: each term is formed by the
-    # same operations and added in the same order; -0.0 + x is x, bit for bit
-    coef = frame.coef
-    m = n * n
-    quad = im = -0.0
-    parts = []
-    for i, (zk, wk) in enumerate(zip(zl, wl)):
+    for v in zl + wl:
         try:
-            below = abs(zk) < bound and abs(wk) < bound
+            below = abs(v) < bound
         except OverflowError:  # Python's abs of a complex past the largest double
             below = False
         if not below:
             raise NonFinite(f"points must be finite and below {bound:.3g} in modulus at eta={eta!r}")
-        zr, zi, wr, wi = zk.real, zk.imag, wk.real, wk.imag
-        x, y = zr - wr, zi - wi
-        quad += coef[i] * (x * x + y * y)
-        im += coef[m + i] * (zr * wi - zi * wr)
-        parts.append((zr, zi, wr, wi, x, y))
-    i = n
-    for a, (zra, zia, wra, wia, xa, ya) in enumerate(parts):
-        for zrb, zib, wrb, wib, xb, yb in parts[a + 1:]:
-            quad += coef[i] * (xa * xb + ya * yb)
-            quad += coef[i + 1] * (ya * xb - xa * yb)
-            im += coef[m + i] * (zra * wib - zia * wrb + (zrb * wia - zib * wra))
-            im += coef[m + i + 1] * (zra * wrb + zia * wib - (zrb * wra + zib * wia))
-            i += 2
+    re, im = _exponent(frame.coef, zl, wl)
     # a miss stores its entry only now; a hit stores the same one again
     p.__dict__["_boxeta_node"] = entry
     # numpy's product with the core, the scalar first, as in the block
-    return KernelValue(FormEndomorphism(b, np.multiply(cmath.exp(complex(-quad, im)), frame.core)))
+    return KernelValue(FormEndomorphism(b, np.multiply(cmath.exp(complex(re, im)), frame.core)))
 
 
 def _quadratic_forms(mat, z, w):
@@ -487,10 +455,8 @@ def _group_kernel(p: CurvaturePoint, q: int, t: float, x: HeisenbergPoint, zs, t
     if not np.isfinite(pref).all():
         raise NonFinite("kernel prefactor overflows: the points are too far from the origin")
 
-    terms = _block_terms(z, zs)
-
     def f(etas):
-        return _fiber_values(p, q, t, etas, z, zs, gaps, adjoint, terms)
+        return _fiber_values(p, q, t, etas, z, zs, gaps, adjoint)
 
     total = _eta_integral(p, q, t, delta, f, tol, width, (2.0 * math.pi) ** (-p.n))
     return (pref / (2.0 * math.pi))[:, None, None] * total

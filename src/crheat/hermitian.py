@@ -34,12 +34,16 @@ class HermitianForm:
     Entries must be finite (NonFinite otherwise).  They are checked
     against the conjugate-transpose to absolute tolerance 1e-10 and then
     symmetrized, so downstream code always sees an exactly Hermitian
-    array.  The stored matrix is read-only.
+    array.  The stored matrix is read-only.  A HermitianForm passed in is
+    returned as it is, so every function that validates its matrices by
+    HermitianForm(...) takes the library's forms too.
     """
 
     __slots__ = ("n", "mat")
 
-    def __init__(self, entries):
+    def __new__(cls, entries):
+        if isinstance(entries, HermitianForm):
+            return entries
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
@@ -53,10 +57,7 @@ class HermitianForm:
                 "matrix deviates from Hermitian symmetry by more than 1e-10"
             )
         # halves first: a + a^H overflows for entries above ~9e307
-        m = a / 2.0 + a.conj().T / 2.0
-        m.flags.writeable = False
-        self.n = a.shape[0]
-        self.mat = m
+        return cls.trusted(a / 2.0 + a.conj().T / 2.0)
 
     @classmethod
     def trusted(cls, mat: np.ndarray) -> "HermitianForm":
@@ -88,13 +89,6 @@ def frobenius_norm(a) -> float:
     return v
 
 
-def as_hermitian(H) -> np.ndarray:
-    """Coerce an array-like or HermitianForm to a validated Hermitian ndarray."""
-    if isinstance(H, HermitianForm):
-        return H.mat
-    return HermitianForm(H).mat
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Ascending real eigenvalues and a unitary matrix of column eigenvectors."""
@@ -114,7 +108,7 @@ def eig_hermitian(H) -> EigenSystem:
     raises NoConvergence.
     """
     try:
-        vals, vecs = np.linalg.eigh(as_hermitian(H))
+        vals, vecs = np.linalg.eigh(HermitianForm(H).mat)
     except np.linalg.LinAlgError as e:
         raise NoConvergence(f"LAPACK eigh failed: {e}") from None
     vals.flags.writeable = False
@@ -131,7 +125,7 @@ def eigvals_hermitian(H) -> np.ndarray:
     eigenvectors.
     """
     try:
-        vals = np.linalg.eigvalsh(as_hermitian(H))
+        vals = np.linalg.eigvalsh(HermitianForm(H).mat)
     except np.linalg.LinAlgError as e:
         raise NoConvergence(f"LAPACK eigvalsh failed: {e}") from None
     vals.flags.writeable = False
@@ -250,8 +244,8 @@ def pencil_det_poly(R, L) -> list[float]:
     coefficient too large to represent raises NonFinite.  R and L are
     validated as Hermitian, except a HermitianForm, which already is.
     """
-    Rm = as_hermitian(R)
-    Lm = as_hermitian(L)
+    Rm = HermitianForm(R).mat
+    Lm = HermitianForm(L).mat
     if Rm.shape != Lm.shape:
         raise DimensionMismatch(
             f"pencil operands disagree: {Rm.shape[0]} vs {Lm.shape[0]}"

@@ -114,11 +114,7 @@ def rx_partition(R, L) -> EtaPartition:
     IdenticallyDegeneratePencil when det(R - 2*eta*L) vanishes for every
     eta.
     """
-    return _partition(HermitianForm(R), HermitianForm(L))
-
-
-def _partition(R: HermitianForm, L: HermitianForm) -> EtaPartition:
-    """rx_partition of two validated forms, which are not validated again."""
+    R, L = HermitianForm(R), HermitianForm(L)
     roots = _pencil_roots(R, L)
     Rm, Lm = R.mat, L.mat
     s = float(np.max(np.abs(np.stack((Rm, Lm)).view(np.float64))))
@@ -178,16 +174,11 @@ def morse_local(R, L, j: int, delta: float | None = None):
     raises InvalidArgument, a non-finite one NonFinite, and so does an
     integral too large to represent (a huge delta or huge forms).
     """
-    Rm = np.asarray(R, dtype=complex)
-    check_degree(Rm.shape[0], j, "j")
+    R, L = HermitianForm(R), HermitianForm(L)
+    check_degree(R.n, j, "j")
     _check_delta(delta)
-    return _morse_local(HermitianForm(Rm), HermitianForm(L), j, delta)
-
-
-def _morse_local(R: HermitianForm, L: HermitianForm, j: int, delta: float | None):
-    """morse_local of two validated forms, with j and delta checked."""
     coeffs = pencil_det_poly(R, L)
-    part = _partition(R, L)
+    part = rx_partition(R, L)
     anti = _antiderivative(coeffs)
     total = 0.0
     for cell in part.cells:
@@ -235,7 +226,7 @@ def morse_global(d: ManifoldDescriptor, q: int, delta: float | None = None) -> M
         acc = 0.0
         finite = True
         for p in d.points:
-            v = _morse_local(p.curvature, p.levi, j, delta)
+            v = morse_local(p.curvature, p.levi, j, delta)
             if v is Divergent:
                 finite = False
                 break

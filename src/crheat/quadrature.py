@@ -76,8 +76,9 @@ def integrate_adaptive(
     max_width caps the initial panel width for oscillatory integrands.
     Returns the accumulated value; the combined Kronrod-vs-Gauss error is
     driven below tol * (1 + |result|), with |result| the largest modulus
-    of its entries.  Raises InvalidArgument for b < a or a max_width
-    that is not positive (NaN included);
+    of its entries.  Raises InvalidArgument for b < a, for a tol that is
+    not finite and positive, or a max_width that is not positive (NaN
+    included);
     NonFinite for an infinite limit, when f returns a NaN or infinite
     value at any node, or when a panel sum or the total overflows; and
     MaxSubdivisions when MAX_ROUNDS refinement rounds do not reach the
@@ -85,6 +86,8 @@ def integrate_adaptive(
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise NonFinite("integration limits must be finite")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidArgument("tol must be finite and positive")
     if max_width is not None and not max_width > 0:
         raise InvalidArgument("max_width must be positive")
     if not b > a:

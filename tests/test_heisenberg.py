@@ -128,6 +128,14 @@ def test_boxeta_memo_hit_equals_miss_and_unmemoized_path():
                 misses = [_sweep(curvature_point(p.curvature, p.levi), e, q, t, [z], w)[0] for z in zs]
                 fresh = [heisenberg._fiber_values(p, q, t, [e], z, w[None], None, False)[0, 0] for z in zs]
                 assert _same_bits(hits, misses) and _same_bits(hits, fresh), (n, q, e)
+            # a block of several nodes and points takes the same bits as a
+            # hit at each of its (node, point) pairs, -0.0 and 0.0 included
+            etas = np.concatenate([rng.uniform(-2, 2, 4), [0.0, -0.0]])
+            ws = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+            block = heisenberg._fiber_values(p, q, t, etas, zs[0], ws, None, False)
+            for k, e in enumerate(etas):
+                hits = [boxeta_kernel(p, e, q, t, zs[0], w).matrix for w in ws]
+                assert _same_bits(hits, list(block[k])), (n, q, k)
 
 
 def _eigenbasis_fiber(p, q, t, etas, z, ws, gaps, adjoint):
@@ -282,10 +290,9 @@ def test_boxeta_bad_coordinates_in_a_sweep_raise_and_keep_the_memo():
 
 
 def test_boxeta_bad_last_coordinate_at_n3_raises_after_partial_sums():
-    # the pass checks each coordinate as it reaches it: with the bad value
-    # last in z, or last in w, the first two coordinates have entered the
-    # sums already; the call still ends in NonFinite with no warning, a hit
-    # keeps its entry and a miss stores none
+    # every coordinate is checked before any sum: with the bad value last
+    # in z, or last in w, after two good ones, the call ends in NonFinite
+    # with no warning, a hit keeps its entry and a miss stores none
     rng = np.random.default_rng(43)
     p = curvature_point(rand_herm(rng, 3), rand_herm(rng, 3))
     z = rng.standard_normal(3) + 1j * rng.standard_normal(3)

@@ -20,7 +20,7 @@ from crheat.errors import (
     NonRigidTruncation,
 )
 from crheat.heisenberg import HeisenbergPoint, heisenberg_heat_kernel
-from crheat.hermitian import pencil_det_poly
+from crheat.hermitian import HermitianForm, pencil_det_poly
 from crheat.morse import (
     Divergent,
     ManifoldDescriptor,
@@ -369,6 +369,25 @@ def test_partition_and_local_with_entries_near_1e300():
     # the 1e-301 root shift, whose integral over [0, 1] is (a - 2)/2 - 2/3 + b^2;
     # measured 1.4e-13 relative, the det polynomial's c_0 being off by 2.4e-14
     assert morse_local(C, L, 1, 2.0) == pytest.approx((a - 2) / 2 - 2 / 3 + b * b, rel=1e-12)
+
+
+def test_partition_and_local_take_the_library_forms():
+    # a point's own HermitianForms give the bits of the array call, and
+    # HermitianForm returns a form it is given as it is
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 3, 4):
+        c, l = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+        p = curvature_point((c + c.conj().T) / 2, (l + l.conj().T) / 2)
+        for form in (p.curvature, p.levi):
+            assert HermitianForm(form) is form
+        R, L = np.array(p.curvature.mat), np.array(p.levi.mat)
+        got, want = rx_partition(p.curvature, p.levi), rx_partition(R, L)
+        assert got.cells == want.cells
+        assert np.array(got.breakpoints).tobytes() == np.array(want.breakpoints).tobytes()
+        for j in range(n + 1):
+            for delta in (1.5, None):
+                got, want = morse_local(p.curvature, p.levi, j, delta), morse_local(R, L, j, delta)
+                assert got is want if want is Divergent else np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_overflowing_cell_integral_is_non_finite():

@@ -1,5 +1,7 @@
 """Adaptive Gauss-Kronrod panel integration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,18 @@ def test_breaks_and_width_are_keyword_only():
     # a second tolerance in fifth place fails instead of becoming the breaks
     with pytest.raises(TypeError):
         integrate_adaptive(np.cos, 0.0, 1.0, 1e-9, 1e-9)
+
+
+def test_tol_must_be_finite_and_positive():
+    # NaN or inf would end in a false overflow, 0 or -1 in the node budget
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.exp(-x * x)
+
+    for tol in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(InvalidArgument, match="tol"):
+            integrate_adaptive(f, -1.0, 1.0, tol)
+    assert not calls
+    assert integrate_adaptive(f, -1.0, 1.0, 1e-12) == pytest.approx(math.sqrt(math.pi) * math.erf(1.0), rel=1e-13)

@@ -75,9 +75,31 @@ def test_compare_command_reads_two_files(tmp_path, capsys):
         path = tmp_path / f"{k}.json"
         path.write_text(json.dumps({"calls": calls}))
         paths.append(str(path))
-    assert same_numbers.main(["--compare", *paths]) == 0
+    assert same_numbers.main(["--compare", *paths]) == 1
     row = capsys.readouterr().out.splitlines()[1].split()
     assert row == ["f", "1", "0", "0.5", "0.5", "0"]
+
+
+def test_compare_exit_status_is_zero_only_when_every_call_is_bitwise_equal(tmp_path, capsys):
+    # as with cmp: 0 for the same bits (and the same error types), 1 for
+    # any value, sign of zero, error type or missing call that differs
+    base = [_call("f", "a", [1.0, -0.0]), _call("g", "a", error="NonFinite")]
+    variants = {
+        "same": (0, base),
+        "value": (1, [_call("f", "a", [1.0 + 2**-52, -0.0]), base[1]]),
+        "zero sign": (1, [_call("f", "a", [1.0, 0.0]), base[1]]),
+        "error type": (1, [base[0], _call("g", "a", error="InvalidArgument")]),
+        "error for value": (1, [base[0], _call("g", "a", [1.0])]),
+        "missing": (1, base[:1]),
+        "extra": (1, base + [_call("h", "a", [2.0])]),
+    }
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps({"calls": base}))
+    for name, (status, calls) in variants.items():
+        second = tmp_path / "second.json"
+        second.write_text(json.dumps({"calls": calls}))
+        assert same_numbers.main(["--compare", str(first), str(second)]) == status, name
+    capsys.readouterr()
 
 
 def test_battery_is_bitwise_equal_at_one_and_two_blas_threads(tmp_path):

@@ -43,7 +43,8 @@ in modulus (max_drift), and over the largest of every call of the
 function in the first file (fn_drift).  A heavily cancelled call, whose
 values are far below the function's usual size, can read a large
 max_drift for a difference at rounding level: fn_drift tells the two
-apart.
+apart.  As with cmp, the exit status is 0 when every call is bitwise
+equal (or raises the same error type on both sides) and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ def battery(crheat, np) -> list:
                 fresh = crheat.curvature_point(p.curvature, p.levi, beta=p.beta)
                 record("boxeta_kernel", f"{tag} eta={eta!r} miss",
                        lambda: crheat.boxeta_kernel(fresh, eta, q, t, sweep[0], w).matrix)
-                # calls that fail at the last coordinate, after the others
-                # entered the sums: NaN in w on a hit, and past every
-                # node's bound (at most 1e150) on a hit and on a miss
+                # calls whose last coordinate fails the node's bound check:
+                # NaN in w on a hit, and past every node's bound (at most
+                # 1e150) on a hit and on a miss
                 nan_w = np.append(w[:-1], math.nan)
                 far = np.append(sweep[1][:-1], 1e151)
                 record("boxeta_kernel", f"{tag} eta={eta!r} nan last w",
@@ -337,8 +338,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.compare:
         first, second = (json.load(open(path, encoding="utf-8"))["calls"] for path in args.compare)
-        sys.stdout.write(_report(compare(first, second)))
-        return 0
+        summary = compare(first, second)
+        sys.stdout.write(_report(summary))
+        same = all(e["bitwise"] == e["calls"] and not e["error_diffs"] for e in summary.values())
+        return 0 if same else 1
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
 
