@@ -18,10 +18,10 @@ import sys
 import numpy as np
 
 from . import files
-from .density import density_diagonal, density_integrand
+from .density import _integrand_traces, _overflow_at, density_diagonal
 from .errors import CrheatError, DivergentIntegral
 from .heisenberg import HeisenbergPoint, heisenberg_heat_kernel
-from .morse import heat_trace, morse_global
+from .morse import Divergent, heat_trace, morse_global
 
 
 def _fmt(x) -> str:
@@ -29,7 +29,7 @@ def _fmt(x) -> str:
 
 
 def _entry_rows(endo):
-    mat = endo.matrix if hasattr(endo, "matrix") else endo
+    mat = endo.matrix
     rows = []
     dim = mat.shape[0]
     for i in range(dim):
@@ -42,7 +42,7 @@ def _entry_rows(endo):
 
 def _emit_endo(endo, fmt, grid_rows, out):
     if fmt == "json":
-        mat = endo.matrix if hasattr(endo, "matrix") else endo
+        mat = endo.matrix
         doc = {
             "trace": [float(np.trace(mat).real), float(np.trace(mat).imag)],
             "matrix": [
@@ -90,7 +90,7 @@ def _times(text: str) -> list:
     return [_time(v) for v in parts]
 
 
-# Each --eta-grid sample is one integrand evaluation.
+# Each --eta-grid sample is one node of one stacked eigensolve.
 MAX_ETA_SAMPLES = 10_000
 
 
@@ -108,14 +108,21 @@ def _eta_grid(spec: str) -> list:
 
 
 def cmd_density(args) -> int:
+    """The density endomorphism, and with --eta-grid the integrand trace at each sample.
+
+    The grid's traces come from one stacked eigensolve of the pencils at
+    every sample (see density._integrand_traces): real by construction,
+    so each row's imaginary part is 0.0.  The first sample whose trace
+    overflows raises NonFinite naming its eta.
+    """
     p = files.load_point(args.input)
     endo = density_diagonal(p, args.q, args.t, delta=args.delta)
     grid_rows = None
     if args.eta_grid is not None:
-        grid_rows = []
-        for eta in args.eta_grid:
-            tr = density_integrand(p, args.q, args.t, eta).trace
-            grid_rows.append((eta, tr.real, tr.imag))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces = _integrand_traces(p, args.q, args.t, args.eta_grid)
+        _overflow_at(args.eta_grid, ~np.isfinite(traces))
+        grid_rows = [(eta, tr, 0.0) for eta, tr in zip(args.eta_grid, traces.tolist())]
     _emit_endo(endo, args.format, grid_rows, sys.stdout)
     return 0
 
@@ -151,8 +158,6 @@ def cmd_morse(args) -> int:
         return 3
     heat_rows = []
     if args.heat_t:
-        from .morse import Divergent
-
         for t in args.heat_t:
             vals = heat_trace(d, args.q, t, delta=args.delta)
             for j, v in enumerate(vals):

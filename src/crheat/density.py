@@ -26,7 +26,7 @@ from .errors import (
     NonRigidTruncation,
     ZeroPolynomial,
 )
-from .exterior import FormEndomorphism, _exterior_power, basis, check_degree
+from .exterior import FormEndomorphism, _exterior_power, basis, check_degree, sized_basis
 from .hermitian import (
     HermitianForm,
     _check_time,
@@ -242,19 +242,35 @@ def _eta_nodes(p: CurvaturePoint, q: int, t: float, etas):
     return M.mat, es, bose_plus, bose_minus, (E * d[..., None, :]) @ E.conj().swapaxes(-1, -2)
 
 
-def _finite_nodes(p: CurvaturePoint, q: int, t: float, etas):
-    """_eta_nodes(p, q, t, etas), with NonFinite naming the first eta whose node overflows.
+def _integrand_traces(p: CurvaturePoint, q: int, t: float, etas) -> np.ndarray:
+    """The traces of the degree-q integrand at the eta nodes etas, from the pencil eigenvalues alone.
+
+    The trace of the core E diag(d) E^H is the sum of the component
+    scalars d, since E is unitary: _trace_scalars of the Bose values of
+    one stacked eigvalsh, real by construction.  No check is made: a
+    node that overflows gives inf or NaN (see _overflow_at).  The axes of
+    etas lead, as in _eta_nodes.
+    """
+    return _trace_scalars(*bose_pair(eigvals_hermitian(_pencil(p, etas)), t), q)
+
+
+def _overflow_at(etas, bad) -> None:
+    """NonFinite naming the first of the eta nodes etas where the mask bad is set; nothing if none is.
 
     A node overflows only at a huge |eta|, where the pencil eigenvalues
     reach ~1e300.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        nodes = _eta_nodes(p, q, t, etas)
-    _, _, bp, bm, core = nodes
-    bad = ~(np.isfinite(bp).all(-1) & np.isfinite(bm).all(-1) & np.isfinite(core).all((-2, -1)))
     if bad.any():
         eta = float(np.asarray(etas, dtype=float)[bad].flat[0])
         raise NonFinite(f"integrand overflows at eta={eta!r}")
+
+
+def _finite_nodes(p: CurvaturePoint, q: int, t: float, etas):
+    """_eta_nodes(p, q, t, etas), with NonFinite naming the first eta whose node overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = _eta_nodes(p, q, t, etas)
+    _, _, bp, bm, core = nodes
+    _overflow_at(etas, ~(np.isfinite(bp).all(-1) & np.isfinite(bm).all(-1) & np.isfinite(core).all((-2, -1))))
     return nodes
 
 
@@ -264,11 +280,13 @@ def density_integrand(p: CurvaturePoint, q: int, t: float, eta: float) -> FormEn
     Finite for every finite eta, including pencil roots (removable
     singularities are guarded at the scalar level), unless it overflows
     at a huge |eta|; NonFinite in that case and for a non-finite eta.
+    A degree whose matrices pass exterior.MAX_DEGREE_BYTES raises
+    InvalidArgument before the node is computed (see sized_basis).
     """
     _check_time(t)
     if not math.isfinite(eta):
         raise NonFinite("eta must be finite")
-    return FormEndomorphism(basis(p.n, q), _finite_nodes(p, q, t, eta)[-1])
+    return FormEndomorphism(sized_basis(p.n, q), _finite_nodes(p, q, t, eta)[-1])
 
 
 def tail_certificate(
@@ -399,10 +417,12 @@ def density_diagonal(p: CurvaturePoint, q: int, t: float, delta: float | None = 
     converges unconditionally but demands the rigid gauge beta = 0
     (NonRigidTruncation if violated).  Full-line integration grows a
     window [-H, H] until the analytic tail certificate drops below 1e-12
-    of the accumulated integral.
+    of the accumulated integral.  A degree whose matrices pass
+    exterior.MAX_DEGREE_BYTES raises InvalidArgument before the pencil
+    roots or any node are computed (see sized_basis).
     """
     _check_gauge(p, delta)
-    b = basis(p.n, q)
+    b = sized_basis(p.n, q)
 
     def f(etas):
         return np.stack([_eta_nodes(p, q, t, e)[-1] for e in etas.tolist()])
@@ -414,14 +434,14 @@ def density_diagonal(p: CurvaturePoint, q: int, t: float, delta: float | None = 
 def _density_trace(p: CurvaturePoint, q: int, t: float, delta: float | None = None) -> float:
     """The trace of density_diagonal(p, q, t, delta), from the pencil eigenvalues alone.
 
-    The integrand is _trace_scalars of the nodes' Bose values, and the
-    tail certificate counts C(n, q) times; heat_trace derives both.
-    delta and the gauge are checked as in density_diagonal.
+    The integrand is _integrand_traces, and the tail certificate counts
+    C(n, q) times; heat_trace derives both.  delta and the gauge are
+    checked as in density_diagonal.
     """
     _check_gauge(p, delta)
 
     def f(etas):
-        return _trace_scalars(*bose_pair(eigvals_hermitian(_pencil(p, etas)), t), q)
+        return _integrand_traces(p, q, t, etas)
 
     total = _eta_integral(p, q, t, delta, f, 1e-9, cert_scale=math.comb(p.n, q))
     # at delta == 0 the driver returns the zero density matrix, whose trace is 0

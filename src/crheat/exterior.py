@@ -120,6 +120,31 @@ def basis(n: int, q: int) -> MultiIndexBasis:
     return MultiIndexBasis(n, q, tuple(combinations(range(1, n + 1), q)))
 
 
+# Bytes that one node's largest degree-q temporary may take, complex
+# entries of 16 bytes with dim = C(n, q): for q >= 2, the top Laplace
+# level's (q, dim, dim) gathers of _exterior_power; otherwise the
+# dim x dim matrix itself.  n = 12, q = 6 takes 82 MB and passes; n = 13,
+# q = 6 would take 283 MB and n = 16, q = 8 would take 21 GB.
+MAX_DEGREE_BYTES = 1 << 28
+
+
+def sized_basis(n, q) -> MultiIndexBasis:
+    """basis(n, q), once one node's degree-q matrices are known to fit MAX_DEGREE_BYTES.
+
+    Every public entry that builds a C(n, q)-sized matrix calls it before
+    any pencil root, node or matrix is computed; a degree past the budget
+    raises InvalidArgument (a usage error, exit 2) instead of allocating.
+    Heat traces hold n x n per node and are not checked.
+    """
+    check_degree(n, q)
+    dim = math.comb(n, q)
+    need = 16 * max(q, 1) * dim * dim
+    if need > MAX_DEGREE_BYTES:
+        raise InvalidArgument(f"degree {q} at n={n} has {dim} components and would need {need:.3g} bytes "
+                              f"per node; at most {MAX_DEGREE_BYTES} are supported")
+    return basis(n, q)
+
+
 def omega_endomorphism(M, q: int) -> FormEndomorphism:
     """The wedge-and-contract endomorphism with coefficient matrix M.
 
@@ -128,11 +153,12 @@ def omega_endomorphism(M, q: int) -> FormEndomorphism:
     (j, l) is the matrix entry M[j-1, l-1].  With these choices a diagonal
     M = diag(mu) acts on the component J as multiplication by
     sum(mu_j for j in J), which is the anchor every kernel formula needs.
-    An entry whose sum overflows raises NonFinite.
+    An entry whose sum overflows raises NonFinite, and a degree past
+    MAX_DEGREE_BYTES InvalidArgument (see sized_basis).
     """
     Mm = HermitianForm(M).mat
     n = Mm.shape[0]
-    b = basis(n, q)
+    b = sized_basis(n, q)
     dim = len(b.indices)
     rank = {J: r for r, J in enumerate(b.indices)}
     out = np.zeros((dim, dim), dtype=complex)
@@ -201,14 +227,16 @@ def exterior_power_matrix(U, q: int) -> np.ndarray:
     alone.  The minors come from the Laplace recursion, and det U from
     LU at q = n (see _exterior_power); the result is never U itself,
     not even at q = 1.  A U that is not a (stack of) square matrix raises
-    InvalidArgument; a NaN or infinite entry, or minors that overflow,
-    raise NonFinite.
+    InvalidArgument, as does a degree past MAX_DEGREE_BYTES (see
+    sized_basis); a NaN or infinite entry, or minors that overflow, raise
+    NonFinite.
     """
     U = np.asarray(U)
     if U.ndim < 2 or U.shape[-1] != U.shape[-2]:
         raise InvalidArgument(f"expected a square matrix or a stack of them, got shape {U.shape}")
     if not np.isfinite(U).all():
         raise NonFinite("U must be finite")
+    sized_basis(U.shape[-1], q)
     with np.errstate(over="ignore", invalid="ignore"):
         E = _exterior_power(U, q)
     if not np.isfinite(E).all():
@@ -227,6 +255,7 @@ def exp_endo(M, q: int, t: float) -> FormEndomorphism:
     exterior power of the eigenvector matrix.  The two share no
     eigensolve and must agree to 1e-8 relative to the result norm,
     otherwise the sign conventions drifted and PathMismatch is raised.
+    M is validated once, and both paths read that one form.
     Path (b) is returned.  A non-finite t raises NonFinite, and so does a
     t for which the exponential is too large to represent (path (b) is
     formed first, so path (a) never sees such a t), and a path (a) that
@@ -234,9 +263,9 @@ def exp_endo(M, q: int, t: float) -> FormEndomorphism:
     """
     if not math.isfinite(t):
         raise NonFinite("t must be finite")
-    Mm = HermitianForm(M).mat
-    omega = omega_endomorphism(Mm, q)
-    es = eig_hermitian(Mm)
+    form = HermitianForm(M)
+    omega = omega_endomorphism(form, q)
+    es = eig_hermitian(form)
     E = exterior_power_matrix(es.unitary, q)
     sums = omega.basis.membership @ es.eigenvalues
     with np.errstate(over="ignore", invalid="ignore"):
@@ -253,6 +282,6 @@ def exp_endo(M, q: int, t: float) -> FormEndomorphism:
     scale = max(1.0, float(np.max(np.abs(path_b))))
     if float(np.max(np.abs(path_a - path_b))) > 1e-8 * scale:
         raise PathMismatch(
-            f"exterior exponential paths disagree beyond 1e-8 (n={Mm.shape[0]}, q={q})"
+            f"exterior exponential paths disagree beyond 1e-8 (n={form.n}, q={q})"
         )
     return FormEndomorphism(omega.basis, path_b)

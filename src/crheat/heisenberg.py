@@ -27,7 +27,7 @@ from .density import (
     _two_sided_decay,
 )
 from .errors import InvalidArgument, NonFinite
-from .exterior import FormEndomorphism, basis
+from .exterior import FormEndomorphism, basis, sized_basis
 from .hermitian import (
     HermitianForm,
     _check_time,
@@ -157,40 +157,16 @@ _BLOCK_MINORS = 1 << 16
 class _GaussianFrame(NamedTuple):
     """What the fiber kernels of a node (or a stack of nodes) read.
 
-    coef holds the real coefficients of the node's two Hermitian forms
-    F = U diag(f) U^H and V = -M(eta) (see _gaussian_block): F_aa
-    for each a, then 2 Re F_ab and 2 Im F_ab for each a < b in row-major
-    order, then the same n^2 coefficients of V without the factor 2.
-    This is the order in which _exponent reads them.  core = (2*pi)^-n
-    times the core of _eta_nodes.  A node stack keeps arrays shaped
-    (K, 2n^2) and (K, dim, dim), and _gaussian_block hands _exponent the
-    columns of coef; a boxeta_kernel memo entry keeps one node, its
-    coefficients a tuple of floats.
+    forms stacks the node's two Hermitian forms F = U diag(f) U^H over
+    V = -M(eta) (see _gaussian_block), 2n rows of n entries, which
+    _exponent reads entry by entry.  core = (2*pi)^-n times the core of
+    _eta_nodes.  A node stack keeps arrays shaped (K, 2n, n) and
+    (K, dim, dim); a boxeta_kernel memo entry keeps one node, its forms
+    a tuple of 2n rows, each a tuple of n Python complex.
     """
 
-    coef: np.ndarray | tuple
+    forms: np.ndarray | tuple
     core: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _coef_layout(n: int):
-    """Where _GaussianFrame.coef reads the forms (F, V), shaped (2, n, n), viewed as flat floats.
-
-    Returns the flat float index of each coefficient and its factor (2 for
-    F's off-diagonal parts, else 1), both read-only.
-    """
-    a, b = np.triu_indices(n, 1)
-    diag = np.arange(n) * (n + 1)
-    upper = np.stack([a * n + b, a * n + b], axis=-1).ravel()
-    parts = np.tile([0, 1], len(a))
-    index, factor = [], []
-    for form in (0, 1):
-        base = form * n * n
-        index += [2 * (base + diag), 2 * (base + upper) + parts]
-        factor += [np.ones(n), np.full(len(upper), 2.0 if form == 0 else 1.0)]
-    index, factor = np.concatenate(index), np.concatenate(factor)
-    index.flags.writeable = factor.flags.writeable = False
-    return index, factor
 
 
 def _node_frame(nodes) -> _GaussianFrame:
@@ -198,54 +174,53 @@ def _node_frame(nodes) -> _GaussianFrame:
 
     Leading axes stack nodes, as in _eta_nodes.  F = U diag((b+ + b-)/2) U^H
     takes one matrix product per node; V = U diag(b- - b+) U^H is -M(eta),
-    since b+ - b- = mu, so its coefficients are read off the negated pencil.
+    since b+ - b- = mu, so it is the negated pencil.  The forms are the
+    (..., 2n, n) stack of F over V.
     """
     M, es, bp, bm, core = nodes
     U = es.unitary
     lead, n = U.shape[:-2], U.shape[-1]
-    # F over V, (2n, n) per node
     forms = np.empty(lead + (2 * n, n), dtype=complex)
     np.matmul(U * ((bp + bm) / 2.0)[..., None, :], U.conj().swapaxes(-1, -2), out=forms[..., :n, :])
     np.negative(M, out=forms[..., n:, :])
-    index, factor = _coef_layout(n)
-    coef = forms.reshape(lead + (-1,)).view(float)[..., index] * factor
-    return _GaussianFrame(coef, core * (2.0 * math.pi) ** (-n))
+    return _GaussianFrame(forms, core * (2.0 * math.pi) ** (-n))
 
 
-def _exponent(coef, z, w):
-    """(-d^H F d, Im(z^H V w)) for d = z - w, from the coefficients of a _GaussianFrame.
+def _exponent(forms, z, w):
+    """(-d^H F d, Im(z^H V w)) for d = z - w, from the forms (F over V) of a _GaussianFrame.
 
     One pass over the coordinates of z and w, read as their real and
     imaginary parts.  Each point term is formed from the parts: with
     d = x + i y, |d_a|^2, then x_a x_b + y_a y_b and y_a x_b - x_a y_b
-    for a < b, whose sum against F's coefficients is d^H F d; and the
-    parts of conj(z_a) w_b that V's coefficients weigh into Im(z^H V w).
-    Each product coef[i] * term is added to its sum from -0.0 (-0.0 + x
-    is x, bit for bit) in coef's order: the n diagonal terms first, then
-    each pair a < b in row-major order with its two parts.  The
-    coordinates and coefficients may be Python floats (a boxeta_kernel
-    memo hit) or numpy arrays that broadcast (a block of nodes against a
-    block of points): each operation is rounded once either way, so the
-    two give the same bits.
+    for a < b, whose sum against Re F_aa, 2 Re F_ab and 2 Im F_ab is
+    d^H F d; and the parts of conj(z_a) w_b that Re V_aa, Re V_ab and
+    Im V_ab weigh into Im(z^H V w).  Only the diagonal and the upper
+    triangle are read.  Each product (coefficient * term, the doubling
+    exact) is added to its sum from -0.0 (-0.0 + x is x, bit for bit):
+    the n diagonal terms first, then each pair a < b in row-major order
+    with its two parts.  The coordinates and entries may be Python
+    numbers (a boxeta_kernel memo hit) or numpy arrays that broadcast (a
+    block of nodes against a block of points): each operation is rounded
+    once either way, so the two give the same bits.
     """
     n = len(z)
-    m = n * n
     quad = im = -0.0
     parts = []
-    for i, (zk, wk) in enumerate(zip(z, w)):
+    for a, (zk, wk) in enumerate(zip(z, w)):
         zr, zi, wr, wi = zk.real, zk.imag, wk.real, wk.imag
         x, y = zr - wr, zi - wi
-        quad += coef[i] * (x * x + y * y)
-        im += coef[m + i] * (zr * wi - zi * wr)
+        quad += forms[a][a].real * (x * x + y * y)
+        im += forms[n + a][a].real * (zr * wi - zi * wr)
         parts.append((zr, zi, wr, wi, x, y))
-    i = n
     for a, (zra, zia, wra, wia, xa, ya) in enumerate(parts):
-        for zrb, zib, wrb, wib, xb, yb in parts[a + 1:]:
-            quad += coef[i] * (xa * xb + ya * yb)
-            quad += coef[i + 1] * (ya * xb - xa * yb)
-            im += coef[m + i] * (zra * wib - zia * wrb + (zrb * wia - zib * wra))
-            im += coef[m + i + 1] * (zra * wrb + zia * wib - (zrb * wra + zib * wia))
-            i += 2
+        Fa, Va = forms[a], forms[n + a]
+        for b in range(a + 1, n):
+            zrb, zib, wrb, wib, xb, yb = parts[b]
+            f, v = Fa[b], Va[b]
+            quad += 2.0 * f.real * (xa * xb + ya * yb)
+            quad += 2.0 * f.imag * (ya * xb - xa * yb)
+            im += v.real * (zra * wib - zia * wrb + (zrb * wia - zib * wra))
+            im += v.imag * (zra * wrb + zia * wib - (zrb * wra + zib * wia))
     return -quad, im
 
 
@@ -254,7 +229,7 @@ def _gaussian_block(z, ws, frame: _GaussianFrame, phase, adjoint: bool, out):
 
     The frame's arrays stack, node by node, what _node_frame makes of the
     eigenvectors U of M(eta), the Bose values b+- = bose(+-mu, t) and the
-    core of _eta_nodes.  Entry [k, i] of out, shaped (len(frame.coef),
+    core of _eta_nodes.  Entry [k, i] of out, shaped (len(frame.forms),
     len(ws), dim, dim), becomes
 
         exp(i*phase[k, i]) * (2*pi)^-n * g_k(z, ws[i]) * core_k
@@ -277,13 +252,13 @@ def _gaussian_block(z, ws, frame: _GaussianFrame, phase, adjoint: bool, out):
     The real part is <= 0, so |g| <= 1, and g = 1 at z = w.  adjoint
     conjugates g; phase None leaves out the phase.
 
-    The exponent is _exponent's, with each coefficient a column over the
-    block's nodes and each coordinate of w a row over its points, the
-    routine a boxeta_kernel memo hit runs on floats, so a hit gets the
-    bits of its block entry.  Each (node, point) pair then costs one
-    complex exponential.
+    The exponent is _exponent's, with the node axis of the forms moved
+    last, so each entry is a column over the block's nodes, and each
+    coordinate of w a row over its points: the routine a boxeta_kernel
+    memo hit runs on Python numbers, so a hit gets the bits of its block
+    entry.  Each (node, point) pair then costs one complex exponential.
     """
-    re, im = _exponent(list(frame.coef.T[:, :, None]), z.tolist(), list(ws.T))
+    re, im = _exponent(frame.forms.transpose(1, 2, 0)[..., None], z.tolist(), list(ws.T))
     if adjoint:
         im = -im
     if phase is not None:
@@ -320,9 +295,9 @@ def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoin
     return out
 
 
-# Cap on |z| * |w| * max|coef| in a boxeta_kernel exponent: each of its
-# 2n^2 products then stays below 8e300, and their sums far below the
-# float64 overflow.
+# Cap on |z| * |w| * scale in a boxeta_kernel exponent, scale the largest
+# part of 2F and of V (see _memo_node): each of its 2n^2 products then
+# stays below 8e300, and their sums far below the float64 overflow.
 _EXPONENT_CAP = 1e300
 
 
@@ -331,24 +306,33 @@ def _memo_node(p: CurvaturePoint, q: int, t: float, eta: float) -> tuple:
 
     Callers sweep boxeta_kernel over z at a fixed (q, t, eta), so the
     frame (see _node_frame) of the last node is kept on the point and
-    reused while the key compares equal: its coefficients as a tuple of
-    floats, its core as a read-only array, with the coordinate bound
-    sqrt(_EXPONENT_CAP / max(1, max|coef|)) that boxeta_kernel checks
-    each coordinate of z and w against.  A miss evaluates the float node
+    reused while the key compares equal: its forms as nested tuples of
+    Python complex (see _GaussianFrame), its core as a read-only array,
+    with the coordinate bound sqrt(_EXPONENT_CAP / scale) that
+    boxeta_kernel checks each coordinate of z and w against, where
+    scale = max(1, 2 max|parts of F|, max|parts of V|) over every real
+    and imaginary part.  Every coefficient _exponent weighs a term with
+    is one of those parts, doubled for F, so scale bounds them all; it
+    doubles F's diagonal as well, so the bound is at most a factor
+    sqrt(2) below the one the coefficients alone would give.  A miss
+    checks the degree's size (see sized_basis), evaluates the float node
     through _finite_nodes and returns the entry unstored: boxeta_kernel
-    stores it once every coordinate has passed that check.  The
-    entry is stored and read as one tuple, so concurrent callers can at
-    worst recompute a node.
+    stores it once every coordinate has passed that check.  The entry is
+    stored and read as one tuple, so concurrent callers can at worst
+    recompute a node.
     """
     key = (q, t, eta)
     entry = p.__dict__.get("_boxeta_node")
     if entry is not None and entry[0] == key:
         return entry
-    coef, core = _node_frame(_finite_nodes(p, q, t, eta))
+    sized_basis(p.n, q)
+    forms, core = _node_frame(_finite_nodes(p, q, t, eta))
     core.flags.writeable = False
-    # a NaN coefficient makes the bound NaN, which every coordinate fails
-    scale = float(np.max(np.abs(coef), initial=1.0))
-    return key, _GaussianFrame(tuple(coef.tolist()), core), math.sqrt(_EXPONENT_CAP / scale)
+    parts = np.abs(forms.view(float))
+    parts[: p.n] *= 2.0
+    # a NaN part makes the bound NaN, which every coordinate fails
+    scale = float(np.max(parts, initial=1.0))
+    return key, _GaussianFrame(tuple(map(tuple, forms.tolist())), core), math.sqrt(_EXPONENT_CAP / scale)
 
 
 def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> KernelValue:
@@ -363,7 +347,10 @@ def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> Kern
     forms in Python floats, the routine the group kernels' blocks run on
     arrays, so the value has the bits of the block entry.  A failing
     call leaves the memo as it was; a miss stores its entry only once
-    every coordinate has passed.
+    every coordinate has passed.  On a miss, a degree whose matrices pass
+    exterior.MAX_DEGREE_BYTES raises InvalidArgument before the node is
+    computed (see sized_basis); a hit's node passed that check when it
+    was stored.
     """
     _check_time(t)
     n = p.n
@@ -384,7 +371,7 @@ def boxeta_kernel(p: CurvaturePoint, eta: float, q: int, t: float, z, w) -> Kern
             below = False
         if not below:
             raise NonFinite(f"points must be finite and below {bound:.3g} in modulus at eta={eta!r}")
-    re, im = _exponent(frame.coef, zl, wl)
+    re, im = _exponent(frame.forms, zl, wl)
     # a miss stores its entry only now; a hit stores the same one again
     p.__dict__["_boxeta_node"] = entry
     # numpy's product with the core, the scalar first, as in the block
@@ -424,6 +411,9 @@ def _group_kernel(p: CurvaturePoint, q: int, t: float, x: HeisenbergPoint, zs, t
     eta-integral before prefactor/(2*pi): absolute where |I| is small.  On
     the full line each window [H, 2H], [-2H, -H] gets its own target, and
     the errors add: n = 3, q = 3, |I| ~ 1e-6 at tol 1e-10 read 3.1e-10.
+
+    A degree whose matrices pass exterior.MAX_DEGREE_BYTES raises
+    InvalidArgument before any node is computed (see sized_basis).
     """
     zs = np.asarray(zs, dtype=complex)
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
@@ -432,11 +422,11 @@ def _group_kernel(p: CurvaturePoint, q: int, t: float, x: HeisenbergPoint, zs, t
     if not (np.isfinite(zs).all() and np.isfinite(thetas).all()):
         raise NonFinite("group point coordinates must be finite")
     zs = zs.reshape(-1, p.n)
+    dim = len(sized_basis(p.n, q).indices)
     if not len(zs):
         # No integral to take, but the checks it would make.
         _check_time(t)
         _check_delta(delta)
-        dim = len(basis(p.n, q).indices)
         if delta is None:
             _two_sided_decay(p, q)
         return np.zeros((0, dim, dim), dtype=complex)

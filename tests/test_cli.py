@@ -18,7 +18,7 @@ import pytest
 
 import crheat
 from crheat.cli import MAX_ETA_SAMPLES, MAX_HEAT_TIMES, _build_parser, _eta_grid, main
-from crheat.density import curvature_point, density_diagonal
+from crheat.density import curvature_point, density_diagonal, density_integrand
 from crheat.errors import FileFormatError, InvalidArgument, NonHermitian
 from crheat.files import (
     format_descriptor,
@@ -155,6 +155,44 @@ def test_density_eta_grid_rows(capsys):
     rows = [l for l in out.splitlines() if l.startswith("integrand,")]
     assert len(rows) == 9
     assert rows[0].split(",")[1] == "-2.0"
+
+
+def test_eta_grid_rows_are_the_integrand_traces(capsys, tmp_path):
+    # rows come from one stacked eigensolve of the pencils, not from the
+    # integrand matrix at each sample: real parts agree with the matrix
+    # route's trace, and the imaginary field is exactly 0.0
+    rng = np.random.default_rng(2601)
+    for n in range(1, 7):
+        a, b = (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n)))
+        p = curvature_point((a + a.conj().T) / 2, (b + b.conj().T) / 2)
+        point = tmp_path / f"n{n}.json"
+        point.write_text(format_point(p))
+        p = crheat.files.load_point(point)
+        for q in range(n + 1):
+            code, out, _ = run_cli(capsys, "density", "--input", str(point), "--q", str(q), "--t", "0.7",
+                                   "--delta", "0", "--eta-grid=-2:2:0.25")
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines() if line.startswith("integrand,")]
+            assert len(rows) == 17
+            for _, eta, _, re_, im in rows:
+                ref = density_integrand(p, q, 0.7, float(eta)).trace.real
+                assert abs(float(re_) - ref) <= 1e-13 * abs(ref), (n, q, eta)
+                assert im == "0.0"
+
+
+def test_eta_grid_takes_one_eigensolve(capsys, monkeypatch):
+    calls = []
+    eigvals = crheat.density.eigvals_hermitian
+
+    def counting(H):
+        calls.append(np.shape(H.mat))
+        return eigvals(H)
+
+    monkeypatch.setattr(crheat.density, "eigvals_hermitian", counting)
+    code, out, _ = run_cli(capsys, "density", "--input", POINT_DEFINITE, "--q", "1", "--t", "1.0",
+                           "--delta", "1", "--eta-grid=-2:2:0.01")
+    assert code == 0 and out.count("integrand,") == 401
+    assert calls == [(401, 2, 2)]
 
 
 def test_density_json_format(capsys):
@@ -558,6 +596,18 @@ def test_huge_truncation_exits_2_quickly(command):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and proc.stderr.startswith("error: ")
     assert "Warning" not in proc.stderr
+
+
+def test_degree_past_the_byte_budget_exits_2_at_once(capsys):
+    # one node at n = 16, q = 8 needs (8, 12870, 12870) complex gathers,
+    # 21 GB; the size check refuses it before the pencil expansion or any
+    # node is computed
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "density", "--input", str(HOSTILE / "point_n16.json"), "--q", "8",
+                             "--t", "1")
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: degree 8 at n=16 ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["density", "morse"])

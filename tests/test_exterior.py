@@ -24,7 +24,7 @@ from crheat.exterior import (
     exterior_power_matrix,
     omega_endomorphism,
 )
-from crheat.hermitian import eig_hermitian
+from crheat.hermitian import HermitianForm, eig_hermitian
 
 
 def rand_herm(rng, n):
@@ -439,3 +439,66 @@ def test_exterior_power_checks_its_input_and_the_node_form_does_not():
         for shape in ((3,), (2, 3), (2, 3, 2)):
             with pytest.raises(InvalidArgument):
                 exterior_power_matrix(np.ones(shape), 1)
+
+
+def test_exp_endo_validates_its_matrix_once(monkeypatch):
+    # exp_endo validates M once and hands that form to both paths; a form
+    # passed back to HermitianForm is returned as it is and not counted
+    validations = []
+    new = HermitianForm.__new__
+
+    def counting(cls, entries):
+        if not isinstance(entries, HermitianForm):
+            validations.append(np.shape(entries))
+        return new(cls, entries)
+
+    monkeypatch.setattr(HermitianForm, "__new__", staticmethod(counting))
+    m = rand_herm(np.random.default_rng(26), 3)
+    for q in range(4):
+        validations.clear()
+        exp_endo(m, q, 0.5)
+        assert validations == [(3, 3)], q
+
+
+def test_degrees_past_the_byte_budget_are_refused_before_any_node(monkeypatch):
+    # the refused (n, q) come from the formula; the node engine, the pencil
+    # expansion and the basis of a refused degree all fail if reached
+    def reached(*args):
+        raise AssertionError("computed before the size check")
+
+    def small_basis(n, q):
+        if 16 * max(q, 1) * math.comb(n, q) ** 2 > exterior.MAX_DEGREE_BYTES:
+            raise AssertionError("a refused basis was built")
+        return basis(n, q)
+
+    for module in (crheat.density, crheat.heisenberg):
+        monkeypatch.setattr(module, "_eta_nodes", reached)
+    monkeypatch.setattr(crheat.density, "pencil_det_poly", reached)
+    monkeypatch.setattr(exterior, "basis", small_basis)
+    refused = []
+    for n in range(1, 19):
+        c, l = np.diag(np.linspace(-1.0, 1.0, n)), np.eye(n)
+        p = crheat.curvature_point(c, l)
+        x = crheat.HeisenbergPoint((0.1,) * n, 0.0)
+        zs, thetas = np.zeros((2, n)), [0.0, 0.5]
+        for q in range(n + 1):
+            if 16 * max(q, 1) * math.comb(n, q) ** 2 <= exterior.MAX_DEGREE_BYTES:
+                assert exterior.sized_basis(n, q) is basis(n, q)
+                continue
+            refused.append((n, q))
+            calls = [
+                lambda: crheat.density_diagonal(p, q, 1.0, 1.0),
+                lambda: crheat.density_diagonal(p, q, 1.0),
+                lambda: crheat.density_integrand(p, q, 1.0, 0.3),
+                lambda: crheat.boxeta_kernel(p, 0.3, q, 1.0, zs[0], zs[1]),
+                lambda: crheat.heisenberg_heat_kernel(p, q, 1.0, x, x, 1.0),
+                lambda: crheat.heisenberg_kernel_batch(p, q, 1.0, x, zs, thetas, None),
+                lambda: crheat.heisenberg_kernel_batch(p, q, 1.0, x, zs[:0], [], 1.0),
+                lambda: omega_endomorphism(c, q),
+                lambda: exp_endo(c, q, 1.0),
+                lambda: exterior_power_matrix(l, q),
+            ]
+            for call in calls:
+                with pytest.raises(InvalidArgument, match=f"degree {q} at n={n} "):
+                    call()
+    assert (16, 8) in refused and (12, 6) not in refused

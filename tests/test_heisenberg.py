@@ -21,7 +21,7 @@ from crheat.heisenberg import (
     heisenberg_kernel_batch,
     mehler_kernel,
 )
-from crheat.hermitian import HermitianForm
+from crheat.hermitian import HermitianForm, bose_pair
 
 P_INDEF = curvature_point(np.diag([-1.0, 1.0]), np.eye(2))
 P_CONVEX = curvature_point([[1.0]], [[1.0]])
@@ -220,11 +220,15 @@ def test_boxeta_memo_arrays_are_read_only():
     entry = heisenberg._memo_node(p, 1, 0.7, 0.3)
     assert entry is vars(p)["_boxeta_node"]
     frame = entry[1]
-    # the coefficients are a tuple of floats, the core a read-only array
-    assert type(frame.coef) is tuple and len(frame.coef) == 2 * 2**2
-    assert all(type(c) is float for c in frame.coef)
+    # the forms are 2n rows of n Python complex, in tuples, the core a
+    # read-only array
+    assert type(frame.forms) is tuple and len(frame.forms) == 2 * 2
+    assert all(type(row) is tuple and len(row) == 2 for row in frame.forms)
+    assert all(type(v) is complex for row in frame.forms for v in row)
     with pytest.raises(TypeError):
-        frame.coef[0] = 0.0
+        frame.forms[0] = (0j, 0j)
+    with pytest.raises(TypeError):
+        frame.forms[0][0] = 0j
     assert not frame.core.flags.writeable
     with pytest.raises(ValueError):
         frame.core[0] = 0.0
@@ -287,6 +291,35 @@ def test_boxeta_bad_coordinates_in_a_sweep_raise_and_keep_the_memo():
                           timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert got.tobytes().hex() == proc.stdout
+
+
+def test_boxeta_coordinate_bound_at_n2():
+    # the bound is sqrt(1e300 / scale), scale = max(1, 2 max|parts of F|,
+    # max|parts of V|); at t = 0.05 the Gaussian form F ~ 1/t dominates
+    # V = -M(eta), so a coordinate between this bound and the one of F
+    # undoubled passes only if the doubling is dropped
+    C, L = np.array([[0.6, 0.1j], [-0.1j, -0.2]]), np.diag([1.0, 0.7])
+    p = curvature_point(C, L)
+    eta, t = 0.3, 0.05
+    es = np.linalg.eigh(C - 2.0 * eta * L)
+    bp, bm = bose_pair(es.eigenvalues, t)
+    F = (es.eigenvectors * ((bp + bm) / 2.0)) @ es.eigenvectors.conj().T
+    V = -(C - 2.0 * eta * L)
+    F_parts, V_parts = (float(np.abs(a.view(float)).max()) for a in (F, V))
+    scale = max(1.0, 2.0 * F_parts, V_parts)
+    assert 2.0 * F_parts > 1.9 * max(1.0, V_parts)
+    bound = math.sqrt(1e300 / scale)
+    assert heisenberg._memo_node(p, 1, t, eta)[2] == pytest.approx(bound, rel=1e-12)
+    for z in ([bound * (1 - 1e-9), 0.0], [0.0, 1j * bound * (1 - 1e-9)]):
+        fresh = curvature_point(C, L)
+        assert np.isfinite(boxeta_kernel(fresh, eta, 1, t, z, [0.0, 0.0]).matrix).all()
+        assert np.isfinite(boxeta_kernel(fresh, eta, 1, t, [0.0, 0.0], z).matrix).all()
+    for z in ([bound * (1 + 1e-9), 0.0], [0.0, 1j * bound * (1 + 1e-9)]):
+        fresh = curvature_point(C, L)
+        with pytest.raises(NonFinite, match="below"):
+            boxeta_kernel(fresh, eta, 1, t, z, [0.0, 0.0])
+        with pytest.raises(NonFinite, match="below"):
+            boxeta_kernel(fresh, eta, 1, t, [0.0, 0.0], z)
 
 
 def test_boxeta_bad_last_coordinate_at_n3_raises_after_partial_sums():

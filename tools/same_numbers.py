@@ -31,7 +31,13 @@ window H and its next two doublings; last exp_endo at q = 1 on
 diag(1e308, 1) at t = 2, and at t = 1 on the matrix of entries 1e306,
 diag(4e15, -1) and diag(1e308, -1) (with the entries-1e307 call above,
 the inputs a Taylor path of exp_endo once refused or needed a diagonal
-shortcut for).
+shortcut for); then the integrand traces of density._integrand_traces
+(the --eta-grid rows) at the two golden grids (tests/data point_convex,
+q = 1, t = 0.5 on -2:2:0.5, and point_definite_levi, q = 2, t = 0.7 on
+-1:1:0.25) and on a seeded n = 6 pencil at q = 3 with 1000 nodes; last
+exp_endo at q = 1, t = 1 on diag(1, -0.5) with off-diagonal entries 3 and
+2 units of 2^-1074, asymmetric within tolerance, whose first
+symmetrization leaves an odd subnormal, which a second one would round.
 
 --compare matches the records of two such files call by call and prints,
 per function, the calls, how many are bitwise equal, the largest relative
@@ -249,6 +255,27 @@ def battery(crheat, np) -> list:
                        ("n=2 q=1 t=1.0 diag(4e15, -1)", np.diag([4e15, -1.0]), 1.0),
                        ("n=2 q=1 t=1.0 diag(1e308, -1)", np.diag([1e308, -1.0]), 1.0)):
         record("exp_endo", case, lambda: crheat.exp_endo(m, 1, t).matrix)
+    # the --eta-grid traces, from one stacked eigensolve; appended last
+    data = os.path.join(ROOT, "tests", "data")
+    for name, q, t, a, step in (("point_convex.json", 1, 0.5, -2.0, 0.5),
+                                ("point_definite_levi.json", 2, 0.7, -1.0, 0.25)):
+        p = crheat.files.load_point(os.path.join(data, name))
+        # the nine samples the CLI makes of A:B:STEP, as a + k * step
+        etas = [a + k * step for k in range(9)]
+        record("integrand_traces", f"{name} q={q} t={t!r} grid {a!r}:{-a!r}:{step!r}",
+               lambda: crheat.density._integrand_traces(p, q, t, etas))
+    p = crheat.curvature_point(herm(6), herm(6))
+    t = float(rng.uniform(0.4, 1.5))
+    etas = np.linspace(-3.0, 3.0, 1000)
+    record("integrand_traces", "n=6 q=3 1000 nodes on [-3, 3]",
+           lambda: crheat.density._integrand_traces(p, 3, t, etas))
+    # an off-diagonal asymmetric within tolerance, 3 against 2 units of the
+    # smallest subnormal: validated once it holds 3 units, and halving an
+    # odd subnormal rounds, so a second symmetrization would change it
+    unit = math.ldexp(1.0, -1074)
+    m = np.array([[1.0, 3.0 * unit], [2.0 * unit, -0.5]])
+    record("exp_endo", "n=2 q=1 t=1.0 subnormal off-diagonal 3u/2u",
+           lambda: crheat.exp_endo(m, 1, 1.0).matrix)
     return records
 
 
