@@ -310,10 +310,20 @@ def tail_certificate(
     worst component scalar (the exterior power of the eigenvector matrix
     is unitary), so the tail is at most
 
-        const * e^{t*||C||_F} * int_H^inf (B(eta)+1/t)^n e^{-t*rate*eta} deta
+        const * e^{t*||C||_F} * int_H^inf (B(eta)+1/t)^n e^{-t*rate*eta} deta.
 
-    which this function evaluates in closed form (log-domain, so large
-    t*||C||_F cannot overflow).  Returns inf when the validity condition
+    With beta0 = ||C||_F + 1/t, beta1 = 2*||L||_F, kappa = t*rate and
+    u = beta0 + beta1*H, the substitution s = beta0 + beta1*eta makes the
+    integral an upper incomplete gamma function at integer order,
+    Gamma(n+1, x) = n! e^{-x} sum_{j<=n} x^j/j! (DLMF 8.4.8):
+
+        int_H^inf (beta0 + beta1*eta)^n e^{-kappa*eta} deta
+            = e^{-kappa*H} sum_{j=0}^{n} (n!/j!) u^j beta1^(n-j) / kappa^(n-j+1),
+
+    n + 1 positive terms (only j = n when ||L||_F = 0), which this
+    function adds in the log domain, with log u = log H + log(beta1 +
+    beta0/H), so neither large t*||C||_F nor beta1*H can overflow.
+    Returns inf when the validity condition
     fails, where callers respond by enlarging H, and when the bound, t*rate
     or 2*||L||_F is too large to represent.  The bound is for the raw
     integrand, without the (2*pi)^-(n+1) normalization.  A NaN or
@@ -334,16 +344,14 @@ def tail_certificate(
     if math.isinf(kappa) or math.isinf(beta1):
         return math.inf
     beta0 = curvature_norm + 1.0 / t
-    log_k, log_H = math.log(kappa), math.log(H)
-    log_terms = []
-    for k in range(n + 1 if beta1 > 0.0 else 1):
-        base = (
-            math.log(math.comb(n, k))
-            + (k * math.log(beta1) if k > 0 else 0.0)
-            + (n - k) * math.log(beta0)
-        )
-        for i in range(k + 1):
-            log_terms.append(base + math.lgamma(k + 1) - math.lgamma(i + 1) + i * log_H - (k - i + 1) * log_k)
+    log_k = math.log(kappa)
+    if beta1 > 0.0:
+        # log u without forming beta1 * H, which can overflow
+        log_u, log_b1, js = math.log(H) + math.log(beta1 + beta0 / H), math.log(beta1), range(n + 1)
+    else:
+        log_u, log_b1, js = math.log(beta0), 0.0, (n,)
+    log_terms = [math.lgamma(n + 1) - math.lgamma(j + 1) + j * log_u + (n - j) * log_b1 - (n - j + 1) * log_k
+                 for j in js]
     top = max(log_terms)
     log_sum = top + math.log(math.fsum(math.exp(v - top) for v in log_terms))
     log_cert = math.log(_DECAY_FACTOR_CONST) + t * curvature_norm - kappa * H + log_sum

@@ -120,11 +120,14 @@ def basis(n: int, q: int) -> MultiIndexBasis:
     return MultiIndexBasis(n, q, tuple(combinations(range(1, n + 1), q)))
 
 
-# Bytes that one node's largest degree-q temporary may take, complex
-# entries of 16 bytes with dim = C(n, q): for q >= 2, the top Laplace
-# level's (q, dim, dim) gathers of _exterior_power; otherwise the
-# dim x dim matrix itself.  n = 12, q = 6 takes 82 MB and passes; n = 13,
-# q = 6 would take 283 MB and n = 16, q = 8 would take 21 GB.
+# Bytes that any one array of the node engine may take, complex entries
+# of 16 bytes with dim = C(n, q).  sized_basis checks one node's largest
+# degree-q temporary against it: for q >= 2, the top Laplace level's
+# (q, dim, dim) gathers of _exterior_power; otherwise the dim x dim matrix
+# itself.  n = 12, q = 6 takes 82 MB and passes; n = 13, q = 6 would take
+# 283 MB and n = 16, q = 8 would take 21 GB.  The group kernels check a
+# round's (nodes, points, dim, dim) fiber values against it as well (see
+# heisenberg._fiber_values).
 MAX_DEGREE_BYTES = 1 << 28
 
 

@@ -27,7 +27,7 @@ from .density import (
     _two_sided_decay,
 )
 from .errors import InvalidArgument, NonFinite
-from .exterior import FormEndomorphism, basis, sized_basis
+from .exterior import MAX_DEGREE_BYTES, FormEndomorphism, basis, sized_basis
 from .hermitian import (
     HermitianForm,
     _check_time,
@@ -277,10 +277,16 @@ def _fiber_values(p: CurvaturePoint, q: int, t: float, etas, z, ws, gaps, adjoin
     gaps[i]*etas[k] (none when gaps is None).  The nodes go in stacks of
     at most _BLOCK_MINORS entries, each evaluated by one _eta_nodes call,
     and a stack's frame is assembled by _gaussian_block in slices of at
-    most _BLOCK_PAIRS node-point pairs.
+    most _BLOCK_PAIRS node-point pairs.  A result past
+    exterior.MAX_DEGREE_BYTES raises InvalidArgument before any node of
+    the round is computed.
     """
     etas = np.asarray(etas, dtype=float)
     dim = math.comb(p.n, q)
+    need = 16 * len(etas) * len(ws) * dim * dim
+    if need > MAX_DEGREE_BYTES:
+        raise InvalidArgument(f"{len(ws)} points at {len(etas)} eta nodes with {dim} components would need "
+                              f"{need:.3g} bytes; at most {MAX_DEGREE_BYTES} are supported: split the batch")
     out = np.empty((len(etas), len(ws), dim, dim), dtype=complex)
     stack = max(1, _BLOCK_MINORS // max(p.n, dim * q) ** 2)
     step = max(1, _BLOCK_PAIRS // max(1, len(ws)))
@@ -487,6 +493,9 @@ def heisenberg_kernel_batch(
     largest entry of the batch (see _group_kernel), serves the whole
     batch, which is what makes grid convolution tests affordable; its
     panels are at most half a period of the widest theta gap's phase
-    wide.  Returns shape (len(zs), dim, dim).
+    wide.  Returns shape (len(zs), dim, dim).  A round whose fiber
+    values, 16 * nodes * len(zs) * dim^2 bytes, pass
+    exterior.MAX_DEGREE_BYTES raises InvalidArgument before its nodes are
+    computed (see _fiber_values).
     """
     return _group_kernel(p, q, t, x, zs, thetas, delta, adjoint, 1e-8)

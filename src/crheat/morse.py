@@ -158,11 +158,6 @@ def _signature_at(R: np.ndarray, L: np.ndarray, eta: float):
     return neg, pos, len(mu) - neg - pos
 
 
-def _antiderivative(coeffs) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=float)
-    return np.concatenate([[0.0], c / np.arange(1, len(c) + 1)])
-
-
 def morse_local(R, L, j: int, delta: float | None = None):
     """Exact integral of |det(R - 2*eta*L)| over the signature-j region.
 
@@ -179,7 +174,7 @@ def morse_local(R, L, j: int, delta: float | None = None):
     _check_delta(delta)
     coeffs = pencil_det_poly(R, L)
     part = rx_partition(R, L)
-    anti = _antiderivative(coeffs)
+    anti = np.polynomial.polynomial.polyint(coeffs)
     total = 0.0
     for cell in part.cells:
         if cell.negatives != j:

@@ -360,6 +360,35 @@ def test_certificate_validity_conditions():
     assert tail_certificate(1.0, 1.5e308, 2, 1, 1.0, 2.0, 8.0) == math.inf
 
 
+def test_certificate_matches_an_independent_integral():
+    # tail_certificate is (1/(1 - e^-1)) e^{t ||C||} times
+    # int_H^inf (||C|| + 1/t + 2 ||L|| eta)^n e^{-t rate eta} deta; here that
+    # integral comes from mpmath's quadrature at 30 digits, at n = 1..16,
+    # with ||L|| = 0 and > 0, at the first window H past the validity edge
+    # t (rate H - ||C||) >= 1 and at 2H
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    rng = np.random.default_rng(27)
+    with mp.workdps(30):
+        for n in range(1, 17):
+            c_norm, l_norm = (float(v) for v in rng.uniform(0.5, 5.0, 2))
+            t = float(rng.uniform(0.3, 3.0))
+            rate = float(rng.uniform(0.5, 5.0))
+            q = int(rng.integers(0, n + 1))
+            edge = (c_norm + 1.0 / t) / rate
+            while t * (rate * edge - c_norm) < 1.0:
+                edge = math.nextafter(edge, math.inf)
+            for levi in (0.0, l_norm):
+                b0 = mp.mpf(c_norm) + 1 / mp.mpf(t)
+                b1, kappa = 2 * mp.mpf(levi), mp.mpf(t) * mp.mpf(rate)
+                for H in (edge, 2.0 * edge):
+                    integral = mp.quad(lambda eta: (b0 + b1 * eta) ** n * mp.exp(-kappa * eta),
+                                       [H, H + (n + 1) / kappa, mp.inf])
+                    want = integral * mp.exp(mp.mpf(t) * mp.mpf(c_norm)) / (1 - mp.exp(-1))
+                    got = tail_certificate(c_norm, levi, n, q, t, rate, H)
+                    assert abs(got - want) <= 1e-12 * want, (n, levi, H, got, want)
+
+
 def test_diagonal_large_t_value():
     v = density_diagonal(P_INDEF, 1, 200.0)
     assert v.trace.real == pytest.approx((2 * math.pi) ** -3 * 2.0 / 3.0, rel=1e-3)

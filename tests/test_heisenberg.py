@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crheat import density, heisenberg
+from crheat import density, exterior, heisenberg
 from crheat.density import curvature_point, density_diagonal, density_integrand
 from crheat.errors import DivergentIntegral, InvalidArgument, MaxSubdivisions, NonFinite, NonHermitian
 from crheat.heisenberg import (
@@ -801,3 +801,34 @@ def test_group_kernel_semigroup_on_3d_grid():
     conv = np.sum(k1 * k2) * 2.0 * hz * hz * ht
     direct = heisenberg_heat_kernel(p, 0, t + s, xp, yp, delta=delta).matrix[0, 0]
     assert abs(conv - direct) / abs(direct) < 2e-3
+
+
+def test_batch_grid_past_the_byte_budget_is_refused_before_its_nodes(monkeypatch):
+    # A round's fiber values take 16 * nodes * points * dim^2 bytes.  With
+    # every theta gap 0 there is no width cap, so the first round is one
+    # Kronrod panel of 15 nodes per segment between the pencil roots inside
+    # the window (none in [-1, 1]; all of them in the full line's first
+    # window [-H, H], H = 2 (1 + max |root|)).  The smallest batch past
+    # exterior.MAX_DEGREE_BYTES is refused before any node; one point fewer
+    # reaches the node engine, which fails if called.
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(heisenberg, "_eta_nodes", reached)
+    n, q = 4, 2
+    dim = math.comb(n, q)
+    p = curvature_point(np.eye(n), 0.1 * np.eye(n))
+    roots = p.pencil_roots
+    assert roots and all(abs(r) > 1.0 for r in roots)
+    x = HeisenbergPoint((0.0,) * n, 0.0)
+    for delta, nodes in ((1.0, 15), (None, 15 * (len(roots) + 1))):
+        refused = exterior.MAX_DEGREE_BYTES // (16 * nodes * dim * dim) + 1
+        zs, thetas = np.zeros((refused, n)), np.zeros(refused)
+        for adjoint in (False, True):
+            with pytest.raises(InvalidArgument, match="split the batch"):
+                heisenberg_kernel_batch(p, q, 1.0, x, zs, thetas, delta, adjoint)
+            with pytest.raises(Reached):
+                heisenberg_kernel_batch(p, q, 1.0, x, zs[1:], thetas[1:], delta, adjoint)

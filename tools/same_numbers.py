@@ -37,7 +37,10 @@ q = 1, t = 0.5 on -2:2:0.5, and point_definite_levi, q = 2, t = 0.7 on
 -1:1:0.25) and on a seeded n = 6 pencil at q = 3 with 1000 nodes; last
 exp_endo at q = 1, t = 1 on diag(1, -0.5) with off-diagonal entries 3 and
 2 units of 2^-1074, asymmetric within tolerance, whose first
-symmetrization leaves an odd subnormal, which a second one would round.
+symmetrization leaves an odd subnormal, which a second one would round;
+last tail_certificate at n = 11..16, with levi_norm 0 and a seeded one,
+at the first window H past its validity edge t*(rate*H - c_norm) >= 1
+and at 2H.
 
 --compare matches the records of two such files call by call and prints,
 per function, the calls, how many are bitwise equal, the largest relative
@@ -276,6 +279,21 @@ def battery(crheat, np) -> list:
     m = np.array([[1.0, 3.0 * unit], [2.0 * unit, -0.5]])
     record("exp_endo", "n=2 q=1 t=1.0 subnormal off-diagonal 3u/2u",
            lambda: crheat.exp_endo(m, 1, 1.0).matrix)
+    # the tail certificate at n = 11..16, with and without a Levi norm, at
+    # the first window past its validity edge t*(rate*H - c_norm) >= 1 and
+    # at twice that window; appended last
+    for n in range(11, 17):
+        q = int(rng.integers(0, n + 1))
+        c_norm, l_norm = (float(v) for v in rng.uniform(0.0, 60.0, 2))
+        t = float(10.0 ** rng.uniform(-2.0, 1.5))
+        rate = float(rng.uniform(0.5, 30.0))
+        edge = (c_norm + 1.0 / t) / rate
+        while t * (rate * edge - c_norm) < 1.0:
+            edge = math.nextafter(edge, math.inf)
+        for levi in (0.0, l_norm):
+            for w in (edge, 2.0 * edge):
+                record("tail_certificate", f"n={n} q={q} levi_norm={levi!r} H={w!r}",
+                       lambda: crheat.tail_certificate(c_norm, levi, n, q, t, rate, w))
     return records
 
 
